@@ -544,6 +544,41 @@ func BenchmarkStreamTrackerTopK(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamTrackerServing is BenchmarkStreamTracker at the
+// serving config: the count-bounded beam (core.DefaultBeamTopK) and
+// fixed-lag smoothing (core.DefaultCommitLag) with an OnCommit hook, as
+// every session of the serving tier decodes. B/op here is the decoder's
+// per-letter allocation at the config that memory-bound deployments
+// run.
+func BenchmarkStreamTrackerServing(b *testing.B) {
+	rig := motion.DefaultRig()
+	ants := rig.Antennas()
+	ch := &rf.Channel{Reflectors: rf.OfficeReflectors(rig.BoardW)}
+	g, _ := font.Lookup('Z')
+	path := g.Path().Scale(0.2).Translate(geom.Vec2{X: 0.18, Y: 0.02})
+	sess := motion.Write(path, "Z", motion.Config{Seed: 1})
+	rd := reader.New(reader.Config{Antennas: ants[:], Channel: ch, EPC: tag.AD227(1).EPC, Seed: 1})
+	samples := rd.Inventory(sess)
+	tr := core.New(core.Config{Antennas: ants, BeamTopK: core.DefaultBeamTopK, CommitLag: core.DefaultCommitLag})
+	b.ReportAllocs()
+	b.ResetTimer()
+	committed := 0
+	for i := 0; i < b.N; i++ {
+		st := tr.Stream()
+		st.OnCommit = func(_ int, seg geom.Polyline) { committed += len(seg) }
+		for _, s := range samples {
+			if err := st.Push(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := st.Finalize(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(samples)), "samples/op")
+	b.ReportMetric(float64(committed)/float64(b.N), "committed/op")
+}
+
 // BenchmarkSessionServer measures the full serving layer: a mixed
 // four-pen inventory demultiplexed through the session manager's
 // per-pen queues, workers, and incremental trackers.
@@ -801,7 +836,7 @@ func BenchmarkDispatchTelemetry(b *testing.B) {
 
 // BenchmarkStreamTrackerLag is BenchmarkStreamTracker with fixed-lag
 // smoothing enabled: the same decode with memory bounded to CommitLag
-// backpointer vectors, plus the cost of per-window commit detection.
+// beam records, plus the cost of per-window commit detection.
 func BenchmarkStreamTrackerLag(b *testing.B) {
 	rig := motion.DefaultRig()
 	ants := rig.Antennas()

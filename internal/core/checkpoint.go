@@ -23,17 +23,41 @@ import (
 // only a Tracker with the same grid (antennas, board, cell size,
 // wavelength — checked via the grid dimensions). Scratch state
 // (stencil buffers, selection scratch, merge-detection marks) is
-// derivable and deliberately not serialized; beam + backpointers
-// behind the commit point are O(lag), so snapshots stay small under
-// Config.CommitLag.
+// derivable and deliberately not serialized; the beam records behind
+// the commit point are O(lag x beam), so snapshots stay small under
+// Config.CommitLag and Config.BeamTopK.
 //
 // The format is versioned (ckptVersion); all scalars are big-endian,
 // floats are IEEE-754 bit patterns so values round-trip exactly.
+// Version 2 stores the decoder's beam records; version 1 (dense
+// per-step backpointer vectors) is refused.
 
 const (
 	ckptMagic   = 0x5044434b // "PDCK"
-	ckptVersion = 1
+	ckptVersion = 2
 )
+
+// Serialized sizes, bytes: ckptWindowSize is one closed window,
+// ckptHeaderSize everything before the open window's phase lists that
+// does not depend on the state's lengths, ckptVitSize the Viterbi
+// scalars.
+const (
+	ckptWindowSize = 8 + 2*24 + 1
+	ckptHeaderSize = 4 + 1 + 8 + 2*4 + // magic, version, covered, grid
+		7*8 + 2*8 + 4 + // stream configuration
+		1 + 4*8 + // windowing scalars
+		2*(8+8+4) + // open window accumulators
+		4 + // window count
+		2*8 + 1 + 8 + 8 + 8 + 1 + // direction evidence
+		1 // decoder kind
+	ckptVitSize = 11 * 8
+)
+
+// maxRestoredScore bounds the magnitude of a restored log-probability. A real
+// decode moves each score by tens of nats per step at most; far beyond
+// this the float64 spacing exceeds the beam window and the prune would
+// empty the beam.
+const maxRestoredScore = 1 << 50
 
 // ErrBadSnapshot reports a snapshot that cannot be parsed or that was
 // taken against an incompatible grid.
@@ -165,7 +189,7 @@ func (s *StreamTracker) Snapshot() ([]byte, error) {
 	if s.finalized {
 		return nil, ErrFinalized
 	}
-	w := &ckWriter{b: make([]byte, 0, 1024)}
+	w := &ckWriter{b: make([]byte, 0, s.snapshotSize())}
 	w.u32(ckptMagic)
 	w.u8(ckptVersion)
 	w.u64(uint64(s.received)) // covered count, fixed header offset
@@ -250,10 +274,37 @@ func (s *StreamTracker) Snapshot() ([]byte, error) {
 	return w.b, nil
 }
 
+// snapshotSize is the exact length of Snapshot's output, so the
+// snapshot is built in a single allocation.
+func (s *StreamTracker) snapshotSize() int {
+	n := ckptHeaderSize + 8*(len(s.open.phases[0])+len(s.open.phases[1])) +
+		ckptWindowSize*len(s.windows)
+	switch {
+	case s.vit != nil:
+		n += s.vit.snapshotSize()
+	case s.gre != nil:
+		n += 8 + 4 + 8*len(s.gre.path)
+	}
+	return n
+}
+
+// snapshotSize is the length of snapshot's output.
+func (v *viterbiState) snapshotSize() int {
+	n := ckptVitSize + 4 + 4*len(v.committed) + 4 + 12*len(v.active) + 4
+	for j := range v.back {
+		n += 4 + 4*len(v.back[j].cells)
+		if j > 0 {
+			n += 4 * len(v.back[j].pred)
+		}
+	}
+	return n
+}
+
 // snapshot serializes the Viterbi beam: everything step, path, and
 // advanceCommit read, omitting derivable scratch. The active list is
-// stored with its probability values; backpointer vectors are stored
-// sparsely (only entries >= 0; the rest default to -1).
+// stored with its probability values, then every beam record as its
+// cells followed by its predecessor positions (omitted for the oldest
+// record, whose predecessors are never read).
 func (v *viterbiState) snapshot(w *ckWriter) {
 	w.i64(v.steps)
 	w.f64(v.maxPrev)
@@ -276,18 +327,14 @@ func (v *viterbiState) snapshot(w *ckWriter) {
 		w.f64(v.prev[i])
 	}
 	w.u32(uint32(len(v.back)))
-	for _, bk := range v.back {
-		nnz := 0
-		for _, b := range bk {
-			if b >= 0 {
-				nnz++
-			}
+	for j, rec := range v.back {
+		w.u32(uint32(len(rec.cells)))
+		for _, c := range rec.cells {
+			w.i32(c)
 		}
-		w.u32(uint32(nnz))
-		for i, b := range bk {
-			if b >= 0 {
-				w.u32(uint32(i))
-				w.i32(b)
+		if j > 0 {
+			for _, p := range rec.pred {
+				w.i32(p)
 			}
 		}
 	}
@@ -350,6 +397,9 @@ func (tr *Tracker) RestoreStream(data []byte) (*StreamTracker, error) {
 	}
 	st := tr.StreamWith(cfg)
 	st.received = received
+	if err := checkStreamConfig(st.cfg); err != nil {
+		return nil, err
+	}
 
 	st.started = r.boolean()
 	st.startT = r.f64()
@@ -368,7 +418,7 @@ func (tr *Tracker) RestoreStream(data []byte) (*StreamTracker, error) {
 			st.open.phases[a][i] = r.f64()
 		}
 	}
-	nw := r.count(41)
+	nw := r.count(ckptWindowSize)
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -387,6 +437,13 @@ func (tr *Tracker) RestoreStream(data []byte) (*StreamTracker, error) {
 		win.Spurious[1] = flags&4 != 0
 	}
 
+	if r.err != nil {
+		return nil, r.err
+	}
+	if err := st.checkWindowing(); err != nil {
+		return nil, err
+	}
+
 	st.eb.rot = r.i64()
 	st.eb.trans = r.i64()
 	st.eb.az.started = r.boolean()
@@ -394,6 +451,9 @@ func (tr *Tracker) RestoreStream(data []byte) (*StreamTracker, error) {
 	st.eb.az.sector = Sector(r.i64())
 	st.eb.az.correction = r.f64()
 	st.eb.az.corrected = r.boolean()
+	if s := st.eb.az.sector; s < SectorUnknown || s > Sector3 {
+		return nil, fmt.Errorf("%w: sector %d", ErrBadSnapshot, s)
+	}
 
 	switch kind := r.u8(); kind {
 	case ckptDecoderNone:
@@ -421,14 +481,87 @@ func (tr *Tracker) RestoreStream(data []byte) (*StreamTracker, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
+	if err := st.checkDecoder(); err != nil {
+		return nil, err
+	}
 	return st, nil
 }
 
-// restoreViterbi rebuilds the beam directly (not via newViterbiState,
+// checkStreamConfig refuses restored stream parameters no tracker could
+// have decoded with (after defaults fill the zero values).
+func checkStreamConfig(cfg Config) error {
+	if cfg.BeamTopK < 0 || cfg.BeamTopK > math.MaxInt32 {
+		return fmt.Errorf("%w: beam bound %d", ErrBadSnapshot, cfg.BeamTopK)
+	}
+	for _, f := range []float64{cfg.Window, cfg.SpuriousPhase, cfg.ModeDelta,
+		cfg.StepDelta, cfg.DeltaBeta, cfg.Elevation, cfg.VMax} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("%w: non-finite stream parameter", ErrBadSnapshot)
+		}
+	}
+	if cfg.Window <= 0 || cfg.VMax <= 0 {
+		return fmt.Errorf("%w: window %v, top speed %v", ErrBadSnapshot, cfg.Window, cfg.VMax)
+	}
+	return nil
+}
+
+// checkWindowing refuses restored windowing state Push could not have
+// produced: sample counts that disagree with the buffered phases, state
+// before the first sample, and window times out of order or outside
+// the buckets opened so far.
+func (s *StreamTracker) checkWindowing() error {
+	if math.IsNaN(s.startT) || math.IsInf(s.startT, 0) || s.openIdx < 0 {
+		return fmt.Errorf("%w: stream start %v, bucket %d", ErrBadSnapshot, s.startT, s.openIdx)
+	}
+	for a := 0; a < 2; a++ {
+		if s.open.count[a] != len(s.open.phases[a]) {
+			return fmt.Errorf("%w: open window holds %d phases, counts %d",
+				ErrBadSnapshot, len(s.open.phases[a]), s.open.count[a])
+		}
+	}
+	if !s.started && (len(s.windows) > 0 || s.open.count != [2]int{}) {
+		return fmt.Errorf("%w: windows before the first sample", ErrBadSnapshot)
+	}
+	end := s.startT + float64(s.openIdx+1)*s.cfg.Window
+	for i, w := range s.windows {
+		if !(w.T >= s.startT && w.T <= end) || (i > 0 && w.T < s.windows[i-1].T) {
+			return fmt.Errorf("%w: window %d at %v", ErrBadSnapshot, i, w.T)
+		}
+	}
+	return nil
+}
+
+// checkDecoder requires the restored decoder to match the windows: none
+// before the first window, otherwise the configured kind holding one
+// state per window.
+func (s *StreamTracker) checkDecoder() error {
+	nw := len(s.windows)
+	var ok bool
+	switch {
+	case s.vit != nil:
+		ok = !s.cfg.GreedyDecode && s.vit.steps == nw-1
+	case s.gre != nil:
+		ok = s.cfg.GreedyDecode && len(s.gre.path) == nw
+		for _, c := range s.gre.path {
+			ok = ok && c >= 0 && c < s.grid.size()
+		}
+		ok = ok && s.gre.cur >= 0 && s.gre.cur < s.grid.size()
+	default:
+		ok = nw == 0
+	}
+	if !ok {
+		return fmt.Errorf("%w: decoder state does not match %d windows", ErrBadSnapshot, nw)
+	}
+	return nil
+}
+
+// restoreViterbi rebuilds the beam directly (not via seedViterbi,
 // which would re-seed and re-prune): prev holds the serialized values
 // at the active cells and -Inf elsewhere, cur is all -Inf with an
-// empty stale list, and every scratch buffer is left for lazy sizing —
-// none of it affects decode values.
+// empty stale list, and every other scratch buffer is left for lazy
+// sizing — none of it affects decode values. Every invariant step,
+// path and the commit walks index by is checked here, so a corrupt
+// snapshot fails with ErrBadSnapshot instead of a later panic.
 func restoreViterbi(g *grid, cfg Config, r *ckReader) (*viterbiState, error) {
 	n := g.size()
 	v := &viterbiState{g: g, cfg: cfg}
@@ -443,18 +576,41 @@ func restoreViterbi(g *grid, cfg Config, r *ckReader) (*viterbiState, error) {
 	v.mergeCommits = r.i64()
 	v.stencilHits = r.u64()
 	v.stencilMisses = r.u64()
+	if r.err != nil {
+		return nil, r.err
+	}
+	if v.commitT < -1 || v.steps <= v.commitT || v.steps > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: commit point %d at step %d", ErrBadSnapshot, v.commitT, v.steps)
+	}
+	// The count bound is 0 before the first step, else BeamTopK, or
+	// within the adaptive controller's range (see adaptK).
+	kMax := cfg.BeamTopK
+	if cfg.BeamAdaptive && kMax > 0 {
+		kMax = max(4*kMax, 16)
+	}
+	if v.kCur < 0 || v.kCur > kMax {
+		return nil, fmt.Errorf("%w: beam bound %d", ErrBadSnapshot, v.kCur)
+	}
 
 	nc := r.count(4)
 	if r.err != nil {
 		return nil, r.err
 	}
+	// The commit machinery appends after committed[commitT].
+	if nc != v.commitT+1 {
+		return nil, fmt.Errorf("%w: committed prefix %d does not match commitT %d",
+			ErrBadSnapshot, nc, v.commitT)
+	}
 	v.committed = make([]int32, nc)
 	for i := range v.committed {
-		v.committed[i] = r.i32()
+		if v.committed[i] = r.i32(); v.committed[i] < 0 || int(v.committed[i]) >= n {
+			return nil, fmt.Errorf("%w: committed cell %d out of grid", ErrBadSnapshot, v.committed[i])
+		}
 	}
 
 	v.prev = make([]float64, n)
 	v.cur = make([]float64, n)
+	v.arg = make([]int32, n)
 	negInf := math.Inf(-1)
 	for i := range v.prev {
 		v.prev[i] = negInf
@@ -464,51 +620,87 @@ func restoreViterbi(g *grid, cfg Config, r *ckReader) (*viterbiState, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	v.active = make([]int, 0, n)
+	if na == 0 {
+		return nil, fmt.Errorf("%w: empty beam", ErrBadSnapshot)
+	}
+	v.active = make([]int, 0, na)
+	best := negInf
 	for i := 0; i < na; i++ {
 		idx := int(r.u32())
 		val := r.f64()
 		if r.err != nil {
 			return nil, r.err
 		}
-		if idx < 0 || idx >= n {
-			return nil, fmt.Errorf("%w: active cell %d out of grid", ErrBadSnapshot, idx)
+		if idx >= n || (i > 0 && idx <= v.active[i-1]) {
+			return nil, fmt.Errorf("%w: active cell %d out of grid or order", ErrBadSnapshot, idx)
+		}
+		if !(math.Abs(val) <= maxRestoredScore) {
+			return nil, fmt.Errorf("%w: active score %v", ErrBadSnapshot, val)
 		}
 		v.active = append(v.active, idx)
 		v.prev[idx] = val
+		best = max(best, val)
+	}
+	if v.maxPrev != best {
+		return nil, fmt.Errorf("%w: beam maximum %v, active scores peak at %v", ErrBadSnapshot, v.maxPrev, best)
 	}
 
+	// One record per undecided time, commitT+1..steps.
 	nb := r.count(4)
 	if r.err != nil {
 		return nil, r.err
 	}
-	v.back = make([][]int32, 0, nb)
+	if nb != v.steps-v.commitT {
+		return nil, fmt.Errorf("%w: %d beam records for times %d..%d",
+			ErrBadSnapshot, nb, v.commitT+1, v.steps)
+	}
+	v.back = make([]beamRecord, 0, nb)
 	for j := 0; j < nb; j++ {
-		bk := make([]int32, n)
-		for i := range bk {
-			bk[i] = -1
+		m := r.count(4)
+		if r.err != nil {
+			return nil, r.err
 		}
-		nnz := r.count(8)
-		for k := 0; k < nnz; k++ {
-			idx := int(r.u32())
-			val := r.i32()
+		if m == 0 || m > n {
+			return nil, fmt.Errorf("%w: beam record of %d states", ErrBadSnapshot, m)
+		}
+		// Exact-size records: a restore allocates what the payload
+		// holds, never the count bound per record.
+		rec := makeRecord(m)
+		for k := 0; k < m; k++ {
+			c := r.i32()
 			if r.err != nil {
 				return nil, r.err
 			}
-			if idx < 0 || idx >= n {
-				return nil, fmt.Errorf("%w: backpointer cell %d out of grid", ErrBadSnapshot, idx)
+			if c < 0 || int(c) >= n || (k > 0 && c <= rec.cells[k-1]) {
+				return nil, fmt.Errorf("%w: record cell %d out of grid or order", ErrBadSnapshot, c)
 			}
-			bk[idx] = val
+			rec.cells = append(rec.cells, c)
 		}
-		v.back = append(v.back, bk)
+		if j == 0 {
+			rec.pred = rec.pred[:m]
+		} else {
+			np := int32(len(v.back[j-1].cells))
+			for k := 0; k < m; k++ {
+				p := r.i32()
+				if r.err != nil {
+					return nil, r.err
+				}
+				if p < 0 || p >= np {
+					return nil, fmt.Errorf("%w: predecessor %d outside a record of %d", ErrBadSnapshot, p, np)
+				}
+				rec.pred = append(rec.pred, p)
+			}
+		}
+		v.back = append(v.back, rec)
 	}
-	if r.err != nil {
-		return nil, r.err
+	last := v.back[nb-1].cells
+	if len(last) != na {
+		return nil, fmt.Errorf("%w: current record does not match the active beam", ErrBadSnapshot)
 	}
-	// Invariants the commit machinery relies on.
-	if len(v.committed) != v.commitT+1 {
-		return nil, fmt.Errorf("%w: committed prefix %d does not match commitT %d",
-			ErrBadSnapshot, len(v.committed), v.commitT)
+	for i, c := range last {
+		if int(c) != v.active[i] {
+			return nil, fmt.Errorf("%w: current record does not match the active beam", ErrBadSnapshot)
+		}
 	}
 	return v, nil
 }

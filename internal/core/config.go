@@ -17,7 +17,7 @@ import (
 // of the unbounded decoder (4.1 cm vs 3.3 cm), whereas lag 32 already
 // costs ~2.3 cm — the forced commit starts freezing the prefix before
 // the Eq. 10 sector correction has disambiguated it. Resident decoder
-// memory stays O(DefaultCommitLag) backpointer vectors.
+// memory stays O(DefaultCommitLag) beam records.
 // Config.CommitLag zero still means unbounded — bounded-lag serving is
 // an explicit choice.
 const DefaultCommitLag = 64
@@ -100,7 +100,7 @@ type Config struct {
 	// trajectory prefix as soon as every surviving path agrees on it
 	// (lossless) and force-commits along the current best path
 	// whenever more than CommitLag windows remain undecided, so
-	// resident decoder memory is O(CommitLag) backpointer vectors
+	// resident decoder memory is O(CommitLag) beam records
 	// instead of O(windows). 0 (the default) keeps the full unbounded
 	// history; batch Track ignores the field. See StreamTracker.OnCommit.
 	CommitLag int

@@ -222,8 +222,13 @@ func (g *grid) buildStencil(ev stepEvidence, buf []stencilEntry) []stencilEntry 
 // stencilRadius is the largest |dx|/|dy| the stencil for ev can hold:
 // cells at least this far from every board edge can take the
 // bounds-check-free interior path of the transition scan.
+//
+// Offsets reaching past the board's longer side land off the board
+// from every cell, so clamping there drops nothing; it keeps a long
+// gap between windows (or a corrupt restored window time) from
+// building a stencil larger than the board.
 func (g *grid) stencilRadius(ev stepEvidence) int {
-	return int((ev.dMax+g.cell*0.75)/g.cell) + 1
+	return min(int((ev.dMax+g.cell*0.75)/g.cell)+1, max(g.nx, g.ny))
 }
 
 // hyperbolaAt returns the hyperbola log factor of Eq. 11 for one cell
@@ -286,11 +291,15 @@ func (g *grid) neighborhood(from int, dMax float64, buf []int) []int {
 // seconds into tens of milliseconds.
 const beamWidth = 12.0
 
-// backChunk is how many backpointer vectors share one backing
-// allocation when the recycling pool runs dry: unbounded (no-lag)
-// decodes retain every vector, so chunking amortizes the per-step
-// allocation they would otherwise pay.
-const backChunk = 16
+// beamRecord is the backpointer store for one decoded time: cells
+// lists the states that survived that step's prune, ascending (the
+// active list at that time), and pred[j] is the index of cells[j]'s
+// argmax predecessor in the previous time's record. Storing indices
+// makes every backtrack step an O(1) lookup, and storage scales with
+// the beam instead of the grid.
+type beamRecord struct {
+	cells, pred []int32
+}
 
 // viterbiState is the forward-pass state of the beam-pruned Viterbi
 // decoder, advanced one evidence step at a time. Both the batch
@@ -307,8 +316,9 @@ const backChunk = 16
 //
 // With fixed-lag smoothing (advanceCommit) the decoder also commits
 // the trajectory prefix all surviving paths agree on, recycling the
-// backpointer vectors behind the commit point, which bounds resident
-// decoder memory by the lag instead of the stream length.
+// beam records behind the commit point, which bounds resident decoder
+// memory by the lag times the beam instead of the stream length times
+// the grid.
 type viterbiState struct {
 	g   *grid
 	cfg Config
@@ -330,6 +340,10 @@ type viterbiState struct {
 	stencil []stencilEntry // buildStencil reuse buffer (cache-off path)
 	touched []int32        // current-step dirty list (reused)
 	mask    []uint64       // prune bitmap for the ascending active rebuild
+	// arg is the transition argmax scratch: arg[to] is the active-list
+	// index of the best predecessor found so far for cell to. It is
+	// meaningful only where cur is finite, so it is never reset.
+	arg []int32
 
 	// Top-K selection state: kCur is the adaptive controller's current
 	// count bound (cfg.BeamTopK when the controller is off), selBuf the
@@ -345,12 +359,14 @@ type viterbiState struct {
 	mergeCommits               int
 	stencilHits, stencilMisses uint64
 
-	// back holds one backpointer vector per uncommitted step: back[j]
-	// belongs to step commitT+2+j (the transition into the state at
-	// time commitT+2+j). Vectors for steps <= commitT+1 can never be
-	// consulted again and have been recycled into pool.
-	back [][]int32
-	pool [][]int32 // reset vectors (all -1)
+	// back holds one beam record per undecided time: back[j] belongs to
+	// time commitT+1+j, so the last record is the current beam (its
+	// cells equal active). The oldest record's predecessors point into
+	// a time already committed and are never read. Records of committed
+	// times are recycled into pool with their capacity.
+	back []beamRecord
+	pool []beamRecord
+	slab []int32 // unused tail of the latest record chunk (newRecord)
 
 	// Fixed-lag smoothing state: committed[t] is the decided path cell
 	// for every time t <= commitT (-1 until the first commit); forced
@@ -360,67 +376,98 @@ type viterbiState struct {
 	committed []int32
 	forced    int
 
-	// Merge-detection scratch (advanceCommit).
+	// Merge-detection scratch (advanceCommit), indexed by record
+	// position.
 	setMark    []uint32
 	setGen     uint32
 	setA, setB []int32
 	trailBuf   []int32
 }
 
-// newViterbiState seeds the decoder with an initial log-probability
-// vector and applies the first beam prune.
-func (g *grid) newViterbiState(cfg Config, initLog []float64) *viterbiState {
+// seedViterbi seeds the decoder with an initial log-probability
+// vector, which it takes ownership of as its probability vector, and
+// applies the first beam prune.
+func (g *grid) seedViterbi(cfg Config, initLog []float64) *viterbiState {
 	n := g.size()
 	v := &viterbiState{g: g, cfg: cfg, commitT: -1}
-	v.prev = make([]float64, n)
-	copy(v.prev, initLog)
+	v.prev = initLog[:n:n]
 	v.cur = make([]float64, n)
 	for i := range v.cur {
 		v.cur[i] = math.Inf(-1)
 	}
-	v.active = make([]int, 0, n)
+	v.arg = make([]int32, n)
 	v.maxPrev = math.Inf(-1)
 	for _, p := range v.prev {
 		if p > v.maxPrev {
 			v.maxPrev = p
 		}
 	}
+	live := 0
+	for _, p := range v.prev {
+		if p > v.maxPrev-beamWidth {
+			live++
+		}
+	}
+	v.active = make([]int, 0, live)
+	rec := v.newRecord(live)
 	for i, p := range v.prev {
 		if p > v.maxPrev-beamWidth {
 			v.active = append(v.active, i)
+			rec.cells = append(rec.cells, int32(i))
 		} else {
 			v.prev[i] = math.Inf(-1)
 		}
 	}
+	// Time 0 has no predecessor; its pred entries are never read.
+	rec.pred = rec.pred[:live]
+	v.back = append(v.back, rec)
 	return v
 }
 
-// getBack returns a reset backpointer vector (all -1), recycling a
-// committed-past vector when one is available.
-func (v *viterbiState) getBack() []int32 {
-	if n := len(v.pool); n > 0 {
-		bk := v.pool[n-1]
-		v.pool[n-1] = nil
-		v.pool = v.pool[:n-1]
-		return bk
+// recordChunk is how many count-bounded beam records share one backing
+// allocation (the slab) while the pool is still empty: the first
+// CommitLag steps of a stroke, or every step of an unbounded-lag
+// decode.
+const recordChunk = 16
+
+// newRecord returns an empty beam record with room for n states,
+// recycling a committed-past record when one fits. Under a count bound
+// a new record is carved from the slab with the bound's capacity, so
+// once recycled it fits every later step; a wider beam (the first
+// step, or no bound) gets an allocation of its own. Either way a record
+// costs at most one allocation, for both of its slices.
+func (v *viterbiState) newRecord(n int) beamRecord {
+	if k := len(v.pool); k > 0 {
+		rec := v.pool[k-1]
+		v.pool = v.pool[:k-1]
+		if cap(rec.cells) >= n && cap(rec.pred) >= n {
+			return beamRecord{cells: rec.cells[:0], pred: rec.pred[:0]}
+		}
 	}
-	n := v.g.size()
-	flat := make([]int32, n*backChunk)
-	for i := range flat {
-		flat[i] = -1
+	c := v.recordBound()
+	if n > c {
+		return makeRecord(n)
 	}
-	for c := 1; c < backChunk; c++ {
-		v.pool = append(v.pool, flat[c*n:(c+1)*n:(c+1)*n])
+	if cap(v.slab)-len(v.slab) < 2*c {
+		v.slab = make([]int32, 0, 2*c*recordChunk)
 	}
-	return flat[:n:n]
+	k := len(v.slab)
+	v.slab = v.slab[:k+2*c]
+	return beamRecord{cells: v.slab[k : k : k+c], pred: v.slab[k+c : k+c : k+2*c]}
 }
 
-// putBack resets a no-longer-needed vector and returns it to the pool.
-func (v *viterbiState) putBack(bk []int32) {
-	for i := range bk {
-		bk[i] = -1
-	}
-	v.pool = append(v.pool, bk)
+// makeRecord allocates an empty beam record with room for m states,
+// both slices in one allocation.
+func makeRecord(m int) beamRecord {
+	buf := make([]int32, 2*m)
+	return beamRecord{cells: buf[:0:m], pred: buf[m : m : 2*m]}
+}
+
+// recordBound is the count bound a beam record is sized for: the
+// larger of the configured and the adaptive K, capped at the grid (0
+// for a window-only beam).
+func (v *viterbiState) recordBound() int {
+	return min(max(v.kCur, v.cfg.BeamTopK), v.g.size())
 }
 
 // step advances the forward pass by one evidence transition.
@@ -439,7 +486,8 @@ func (v *viterbiState) step(ev stepEvidence) {
 			cur[i] = math.Inf(-1)
 		}
 	}
-	bk := v.getBack()
+	negInf := math.Inf(-1)
+	arg := v.arg
 	touched := v.touched[:0]
 	var stencil []stencilEntry
 	if cfg.DisableStencilCache {
@@ -459,7 +507,7 @@ func (v *viterbiState) step(ev stepEvidence) {
 	// noise amplified by the solve's conditioning, in metres.
 	const radialSigma = 0.005
 	invVar := 1 / (2 * radialSigma * radialSigma)
-	for _, from := range v.active {
+	for j, from := range v.active {
 		base := v.prev[from]
 		fx, fy := from%g.nx, from/g.nx
 		var dExp geom.Vec2
@@ -481,12 +529,12 @@ func (v *viterbiState) step(ev stepEvidence) {
 			for _, st := range stencil {
 				to := from + int(st.off)
 				score := base + st.score
-				if score > cur[to] {
-					if bk[to] < 0 {
+				if c := cur[to]; score > c {
+					if c == negInf {
 						touched = append(touched, int32(to))
 					}
 					cur[to] = score
-					bk[to] = int32(from)
+					arg[to] = int32(j)
 				}
 			}
 			continue
@@ -503,12 +551,12 @@ func (v *viterbiState) step(ev stepEvidence) {
 				ddy := float64(st.dy)*g.cell - dExp.Y
 				score -= (ddx*ddx + ddy*ddy) * invVar
 			}
-			if score > cur[to] {
-				if bk[to] < 0 {
+			if c := cur[to]; score > c {
+				if c == negInf {
 					touched = append(touched, int32(to))
 				}
 				cur[to] = score
-				bk[to] = int32(from)
+				arg[to] = int32(j)
 			}
 		}
 	}
@@ -521,19 +569,20 @@ func (v *viterbiState) step(ev stepEvidence) {
 			cur[i] += g.hyperbolaAt(int(i), ev.dphi)
 		}
 	}
-	maxCur := math.Inf(-1)
+	maxCur := negInf
 	for _, i := range touched {
 		if s := cur[i]; s > maxCur {
 			maxCur = s
 		}
 	}
-	if math.IsInf(maxCur, -1) {
+	if maxCur == negInf {
 		// Every path died (all evidence contradictory): hold position
-		// by carrying the previous distribution forward. (No cell was
-		// written, so touched is empty here.)
-		for _, i := range v.active {
+		// by carrying the previous distribution forward, each cell its
+		// own predecessor. (No cell was written, so touched is empty
+		// here.)
+		for j, i := range v.active {
 			cur[i] = v.prev[i]
-			bk[i] = int32(i)
+			arg[i] = int32(j)
 			touched = append(touched, int32(i))
 		}
 		maxCur = v.maxPrev
@@ -545,6 +594,7 @@ func (v *viterbiState) step(ev stepEvidence) {
 	if v.mask == nil {
 		v.mask = make([]uint64, (len(cur)+63)/64)
 	}
+	live := 0
 	if thr, kEff, surv, bounded := v.topKSelect(cur, touched, maxCur); bounded {
 		// Count bound composed with the window prune: keep states
 		// strictly above the K-th survivor score; boundary ties fill
@@ -574,16 +624,25 @@ func (v *viterbiState) step(ev stepEvidence) {
 		}
 		v.tieBuf = ties
 		v.topkPruned += uint64(surv - kEff)
+		live = nAbove + min(len(ties), kEff-nAbove)
 	} else {
 		for _, i := range touched {
 			if cur[i] > maxCur-beamWidth {
 				v.mask[i>>6] |= 1 << (uint(i) & 63)
+				live++
 			} else {
 				cur[i] = math.Inf(-1)
 			}
 		}
 	}
+	// The rebuild also fills this time's beam record, whose cells are
+	// the new active list.
 	newActive := v.stale[:0]
+	if cap(newActive) < live {
+		newActive = make([]int, 0, live)
+	}
+	rec := v.newRecord(live)
+	cells, pred := rec.cells, rec.pred
 	for w, bs := range v.mask {
 		if bs == 0 {
 			continue
@@ -591,13 +650,16 @@ func (v *viterbiState) step(ev stepEvidence) {
 		v.mask[w] = 0
 		base := w << 6
 		for bs != 0 {
-			newActive = append(newActive, base+bits.TrailingZeros64(bs))
+			i := base + bits.TrailingZeros64(bs)
+			newActive = append(newActive, i)
+			cells = append(cells, int32(i))
+			pred = append(pred, arg[i])
 			bs &= bs - 1
 		}
 	}
 	v.touched = touched
 	v.maxPrev = maxCur
-	v.back = append(v.back, bk)
+	v.back = append(v.back, beamRecord{cells: cells, pred: pred})
 	v.steps++
 	v.stale = v.active
 	v.active = newActive
@@ -778,13 +840,24 @@ func (v *viterbiState) decodeStats() DecodeStats {
 // best returns the current maximum-probability cell — the streaming
 // (filtering) position estimate after the steps seen so far.
 func (v *viterbiState) best() int {
-	best := v.active[0]
-	for _, i := range v.active[1:] {
-		if v.prev[i] > v.prev[best] {
-			best = i
+	return v.active[v.bestIdx()]
+}
+
+// bestIdx returns best's position in the active list (equivalently, in
+// the current beam record).
+func (v *viterbiState) bestIdx() int {
+	best := 0
+	for j, i := range v.active[1:] {
+		if v.prev[i] > v.prev[v.active[best]] {
+			best = j + 1
 		}
 	}
 	return best
+}
+
+// record returns the beam record of time t (commitT < t <= steps).
+func (v *viterbiState) record(t int) *beamRecord {
+	return &v.back[t-v.commitT-1]
 }
 
 // path returns the most likely cell sequence over every step taken so
@@ -796,13 +869,13 @@ func (v *viterbiState) path() []int {
 	for t, c := range v.committed {
 		path[t] = int(c)
 	}
-	path[v.steps] = v.best()
-	for t := v.steps - 1; t > v.commitT; t-- {
-		b := v.back[t-v.commitT-1][path[t+1]]
-		if b < 0 {
-			b = int32(path[t+1])
+	j := int32(v.bestIdx())
+	for t := v.steps; t > v.commitT; t-- {
+		rec := v.record(t)
+		path[t] = int(rec.cells[j])
+		if t > v.commitT+1 {
+			j = rec.pred[j]
 		}
-		path[t] = int(b)
 	}
 	return path
 }
@@ -815,8 +888,8 @@ func (v *viterbiState) path() []int {
 // When maxLag > 0 and more than maxLag steps remain undecided, the
 // oldest are force-committed along the current best path, trading the
 // guarantee of matching the unbounded decode (forced counts these)
-// for bounded memory and latency. Recycled backpointer vectors keep
-// resident decoder memory at O(maxLag) vectors.
+// for bounded memory and latency. Recycled beam records keep resident
+// decoder memory at O(maxLag) records of at most the beam size each.
 func (v *viterbiState) advanceCommit(maxLag int) (start int, cells []int32) {
 	start = v.commitT + 1
 	if v.steps > v.commitT+1 {
@@ -836,31 +909,28 @@ func (v *viterbiState) advanceCommit(maxLag int) (start int, cells []int32) {
 // commitMerged finds the latest time at which all surviving paths pass
 // through a single cell and commits the path up to it.
 func (v *viterbiState) commitMerged() {
-	if len(v.setMark) == 0 {
-		v.setMark = make([]uint32, v.g.size())
-	}
+	// set holds the candidate ancestors as positions in the record of
+	// time k, starting as the whole active beam at time steps; walk the
+	// predecessors until it collapses. The walk never commits the
+	// current time (a singleton beam collapses at steps-1 after one
+	// mapping), which keeps the newest record open as the commit
+	// bookkeeping assumes.
 	set := v.setA[:0]
-	for _, i := range v.active {
-		set = append(set, int32(i))
+	for j := range v.active {
+		set = append(set, int32(j))
 	}
 	next := v.setB[:0]
-	// set holds the candidate ancestors, starting as the active beam
-	// at time steps; walk the backpointers until it collapses. The
-	// walk never commits the current time (a singleton beam collapses
-	// at steps-1 after one mapping), which keeps the newest state open
-	// as the vector bookkeeping assumes.
 	collapsed := -1
 	for k := v.steps; collapsed < 0 && k >= v.commitT+2; k-- {
 		prevLen := len(set)
-		bk := v.back[k-v.commitT-2]
+		pred := v.record(k).pred
+		if n := len(v.record(k - 1).cells); len(v.setMark) < n {
+			v.setMark = make([]uint32, n)
+		}
 		v.setGen++
 		next = next[:0]
-		for _, c := range set {
-			b := bk[c]
-			if b < 0 {
-				b = c // hold-position step
-			}
-			if v.setMark[b] != v.setGen {
+		for _, j := range set {
+			if b := pred[j]; v.setMark[b] != v.setGen {
 				v.setMark[b] = v.setGen
 				next = append(next, b)
 			}
@@ -889,58 +959,54 @@ func (v *viterbiState) commitMerged() {
 // path: the decoder's answer for those steps is frozen even though
 // future evidence might have revised it.
 func (v *viterbiState) commitForced(f int) {
-	c := int32(v.best())
+	j := int32(v.bestIdx())
 	for t := v.steps; t > f; t-- {
-		if b := v.back[t-v.commitT-2][c]; b >= 0 {
-			c = b
-		}
+		j = v.record(t).pred[j]
 	}
 	v.forced++
-	v.commitThrough(f, c)
+	v.commitThrough(f, j)
 }
 
 // commitThrough appends the path cells for times commitT+1..tc to the
-// committed prefix (cell being the path cell at time tc) and recycles
-// the backpointer vectors no longer reachable by any backtrack.
-func (v *viterbiState) commitThrough(tc int, cell int32) {
+// committed prefix (j being the path state's position in the record of
+// time tc) and recycles the records no backtrack can reach any more.
+func (v *viterbiState) commitThrough(tc int, j int32) {
 	n := tc - v.commitT
 	if cap(v.trailBuf) < n {
 		v.trailBuf = make([]int32, n)
 	}
 	trail := v.trailBuf[:n]
-	c := cell
 	for t := tc; t > v.commitT; t-- {
-		trail[t-v.commitT-1] = c
+		rec := v.record(t)
+		trail[t-v.commitT-1] = rec.cells[j]
 		if t > v.commitT+1 {
-			if b := v.back[t-v.commitT-2][c]; b >= 0 {
-				c = b
-			}
+			j = rec.pred[j]
 		}
 	}
 	v.committed = append(v.committed, trail...)
-	// Backtracks now stop at time tc+1 via committed, so vectors for
-	// steps <= tc+1 are dead.
-	drop := n
-	if drop > len(v.back) {
-		drop = len(v.back)
+	// Backtracks now stop at time tc+1 via committed, so the records
+	// of times <= tc are dead. Under a count bound, records wider than
+	// it (time 0's, which holds the prior's whole support) are left to
+	// the collector, so the pool stays bounded by the beam, not the
+	// grid.
+	bound := v.recordBound()
+	for _, rec := range v.back[:n] {
+		if bound == 0 || cap(rec.cells) <= bound {
+			v.pool = append(v.pool, rec)
+		}
 	}
-	for j := 0; j < drop; j++ {
-		v.putBack(v.back[j])
-	}
-	k := copy(v.back, v.back[drop:])
-	for j := k; j < len(v.back); j++ {
-		v.back[j] = nil
-	}
+	k := copy(v.back, v.back[n:])
+	clear(v.back[k:])
 	v.back = v.back[:k]
 	v.commitT = tc
 }
 
 // viterbi decodes the most likely cell sequence given the per-step
-// evidence and an initial log-probability vector. It returns cell
-// indices, one per step (len(evidence)+1 states). Decoding is
-// beam-pruned (see beamWidth).
+// evidence and an initial log-probability vector, which it takes
+// ownership of. It returns cell indices, one per step (len(evidence)+1
+// states). Decoding is beam-pruned (see beamWidth).
 func (g *grid) viterbi(cfg Config, initLog []float64, evidence []stepEvidence) []int {
-	v := g.newViterbiState(cfg, initLog)
+	v := g.seedViterbi(cfg, initLog)
 	for _, ev := range evidence {
 		v.step(ev)
 	}

@@ -193,7 +193,7 @@ func (s *StreamTracker) closeOpen() {
 		if s.cfg.GreedyDecode {
 			s.gre = s.grid.newGreedyState(s.cfg, init)
 		} else {
-			s.vit = s.grid.newViterbiState(s.cfg, init)
+			s.vit = s.grid.seedViterbi(s.cfg, init)
 		}
 	} else {
 		ev := s.eb.step(s.windows, k)

@@ -321,6 +321,12 @@ type Router struct {
 	backends  []*routerBackend
 	epoch     uint64 // latest applied membership epoch (0 = static config)
 	overrides map[string]*routerBackend
+	// finishedOn maps an EPC whose stroke Finalize ended on an
+	// override (not its rendezvous winner) to that backend until the
+	// stroke's EventEvict arrives or the EPC is placed again: the
+	// stroke's trailing events are still forwarded from there although
+	// the override is gone.
+	finishedOn map[string]*routerBackend
 
 	// mshipMu serializes ApplyMembership end to end (dial, swap, drain)
 	// so two concurrent epochs can't interleave their drains.
@@ -347,7 +353,7 @@ func NewRouter(backends []NamedBackend) *Router {
 		panic("session: router needs at least one backend")
 	}
 	seen := make(map[string]bool, len(backends))
-	r := &Router{overrides: make(map[string]*routerBackend)}
+	r := &Router{overrides: make(map[string]*routerBackend), finishedOn: make(map[string]*routerBackend)}
 	for _, nb := range backends {
 		if seen[nb.Name] {
 			panic(fmt.Sprintf("session: duplicate router backend %q", nb.Name))
@@ -886,7 +892,7 @@ func (r *Router) migrateLocked(ctx context.Context, epc string, target *routerBa
 		}
 	}
 	target.ok()
-	r.overrides[epc] = target
+	r.setOverrideLocked(epc, target)
 	if r.tel != nil {
 		r.tel.migrations.Inc()
 	}
@@ -933,7 +939,7 @@ func (r *Router) Handoff(ctx context.Context, epc, backend string) error {
 		}
 		return fmt.Errorf("router: backend %s: %w", to.name, err)
 	}
-	r.overrides[epc] = to
+	r.setOverrideLocked(epc, to)
 	if r.tel != nil {
 		r.tel.migrations.Inc()
 	}
@@ -1091,7 +1097,7 @@ func (r *Router) ApplyMembership(ctx context.Context, m Membership) error {
 	r.epoch = m.Epoch
 	for epc, rb := range pins {
 		if rb != nil && r.backendFor(epc) != rb {
-			r.overrides[epc] = rb
+			r.setOverrideLocked(epc, rb)
 		}
 	}
 	r.handoffMu.Unlock()
@@ -1169,7 +1175,7 @@ func (r *Router) drainBackend(ctx context.Context, rb *routerBackend) error {
 	}
 	for epc := range epcs {
 		if r.overrides[epc] == nil && r.resolveLocked(epc) == rb {
-			r.overrides[epc] = rb
+			r.setOverrideLocked(epc, rb)
 		}
 	}
 	rb.state.Store(int32(StateDraining))
@@ -1232,7 +1238,7 @@ func (r *Router) drainEPC(ctx context.Context, epc string, from *routerBackend) 
 		}
 		return fmt.Errorf("router: drain %s: %s: %w", to.name, epc, err)
 	}
-	r.overrides[epc] = to
+	r.setOverrideLocked(epc, to)
 	return nil
 }
 
@@ -1504,7 +1510,7 @@ func (r *Router) Finalize(ctx context.Context, epc string) (*core.Result, error)
 	switch {
 	case err == nil, errors.Is(err, core.ErrTooFewSamples):
 		rb.ok()
-		r.strokeDone(epc)
+		r.strokeDone(epc, rb)
 	case errors.Is(err, ErrUnknownEPC):
 		// A per-session outcome, not a transport failure.
 		rb.ok()
@@ -1518,13 +1524,30 @@ func (r *Router) Finalize(ctx context.Context, epc string) (*core.Result, error)
 }
 
 // strokeDone releases an EPC's journal records and routing override
-// after its session ended. Also invoked from the event forwarder when
-// the owning backend reports an eviction.
-func (r *Router) strokeDone(epc string) {
+// after its session ended on backend by. Also invoked from the event
+// forwarder when the owning backend reports an eviction (by nil: the
+// eviction is the stroke's last event). If Finalize ends a stroke on
+// an override before its eviction was forwarded, by is remembered so
+// forwardFrom still relays the stroke's trailing events from it (only
+// while by's events are forwarded at all: otherwise no eviction would
+// ever end the exception).
+func (r *Router) strokeDone(epc string, by *routerBackend) {
 	if j := r.journal; j != nil {
 		j.Release(epc)
 	}
+	if by != nil {
+		r.fwdMu.Lock()
+		if by.fwdDone == nil {
+			by = nil
+		}
+		r.fwdMu.Unlock()
+	}
 	r.handoffMu.Lock()
+	if by != nil && r.overrides[epc] == by {
+		r.finishedOn[epc] = by
+	} else {
+		delete(r.finishedOn, epc)
+	}
 	delete(r.overrides, epc)
 	r.handoffMu.Unlock()
 }
@@ -1614,7 +1637,7 @@ func (r *Router) Restore(ctx context.Context, epc string, state []byte) error {
 	}
 	rb.ok()
 	if rb != r.backendFor(epc) {
-		r.overrides[epc] = rb
+		r.setOverrideLocked(epc, rb)
 	}
 	return nil
 }
@@ -1675,13 +1698,20 @@ func (r *Router) stopForwarding(rb *routerBackend) {
 // stroke whose events would duplicate or contradict the live one's.
 // Checkpoint events are absorbed into the journal (when attached)
 // instead of reaching subscribers, and an owner-reported eviction
-// releases the stroke.
+// releases the stroke. The one exception to owner-only forwarding is a
+// stroke Finalize ended on an override: the backend that finalized it
+// still relays its trailing events, up to and including its eviction
+// (see strokeDone).
 func (r *Router) forwardFrom(rb *routerBackend, ev Event) {
 	if ev.EPC != "" {
 		r.handoffMu.RLock()
 		owner := r.resolveLocked(ev.EPC)
+		finisher := r.finishedOn[ev.EPC]
 		r.handoffMu.RUnlock()
 		if owner != rb {
+			if finisher == rb && ev.Kind != EventCheckpoint {
+				r.forwardTrailing(rb, ev)
+			}
 			return
 		}
 	}
@@ -1692,7 +1722,7 @@ func (r *Router) forwardFrom(rb *routerBackend, ev Event) {
 			return
 		}
 	case EventEvict:
-		r.strokeDone(ev.EPC)
+		r.strokeDone(ev.EPC, nil)
 	case EventMembership:
 		// A shard server pushed a new routing table (v4 protocol): apply
 		// it instead of forwarding it verbatim. Asynchronously, because
@@ -1708,6 +1738,30 @@ func (r *Router) forwardFrom(rb *routerBackend, ev Event) {
 			_ = r.ApplyMembership(ctx, m)
 		}()
 		return
+	}
+	r.hub.Publish(ev)
+}
+
+// setOverrideLocked routes epc to rb until its stroke ends. The new
+// placement also ends any trailing-event exception an earlier stroke
+// of the EPC left behind (see strokeDone), so a lost eviction cannot
+// let that backend's stale events through later. Caller holds
+// handoffMu.
+func (r *Router) setOverrideLocked(epc string, rb *routerBackend) {
+	r.overrides[epc] = rb
+	delete(r.finishedOn, epc)
+}
+
+// forwardTrailing relays an event of a stroke rb finalized after the
+// EPC's override was dropped. The stroke is already released, so the
+// eviction only ends the exception.
+func (r *Router) forwardTrailing(rb *routerBackend, ev Event) {
+	if ev.Kind == EventEvict {
+		r.handoffMu.Lock()
+		if r.finishedOn[ev.EPC] == rb {
+			delete(r.finishedOn, ev.EPC)
+		}
+		r.handoffMu.Unlock()
 	}
 	r.hub.Publish(ev)
 }

@@ -485,3 +485,90 @@ func TestRouterHeartbeat(t *testing.T) {
 	}
 	r.StopHeartbeat() // idempotent with the deferred stop
 }
+
+// TestRouterForwardsEvictAfterHandoffFinalize: a stroke handed off to
+// a backend that is not its rendezvous winner and finalized there
+// still delivers its EventEvict, which the backend publishes only
+// after Finalize has dropped the routing override. Exactly one
+// eviction reaches the subscriber; later events from that backend for
+// the EPC stay suppressed like any stale incarnation's. When a
+// stroke's eviction never arrives, the EPC's next placement ends the
+// exception, and with no forwarding armed Finalize records nothing.
+func TestRouterForwardsEvictAfterHandoffFinalize(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	nbs, stubs := namedStubs("a:1", "b:1", "c:1")
+	r := NewRouter(nbs)
+	epc := epcOwnedBy(t, r, "a:1")
+	b := stubs["b:1"]
+	handOffAndFinalize := func(to string) {
+		t.Helper()
+		if err := r.Dispatch(ctx, reader.Sample{EPC: epc, T: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Handoff(ctx, epc, to); err != nil {
+			t.Fatal(err)
+		}
+		stubs[to].finalize = map[string]*core.Result{epc: {}}
+		if _, err := r.Finalize(ctx, epc); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.BackendFor(epc); got != "a:1" {
+			t.Fatalf("after finalize EPC routes to %s, want its rendezvous winner", got)
+		}
+	}
+
+	handOffAndFinalize("b:1")
+	if n := len(r.finishedOn); n != 0 {
+		t.Fatalf("router without forwarding kept %d finished-stroke entries, want 0", n)
+	}
+
+	events, stop := r.Subscribe(ctx)
+	defer stop()
+	// The backend's own events arrive after Finalize returned, as an
+	// asynchronous event stream delivers them. b:1's events are
+	// forwarded in order, so a marker for an EPC b:1 owns, published
+	// last, ends each batch; drain returns the batch's events for epc.
+	marker := epcOwnedBy(t, r, "b:1")
+	drain := func(batch ...Event) []EventKind {
+		t.Helper()
+		for _, ev := range batch {
+			b.hub.Publish(ev)
+		}
+		b.hub.Publish(Event{Kind: EventPoint, EPC: marker})
+		var got []EventKind
+		timeout := time.After(5 * time.Second)
+		for {
+			select {
+			case ev := <-events:
+				if ev.EPC == marker {
+					return got
+				}
+				if ev.EPC == epc {
+					got = append(got, ev.Kind)
+				}
+			case <-timeout:
+				t.Fatal("marker event never arrived")
+			}
+		}
+	}
+	evict := Event{Kind: EventEvict, EPC: epc}
+	point := Event{Kind: EventPoint, EPC: epc}
+
+	handOffAndFinalize("b:1")
+	if got := drain(evict, evict, point); len(got) != 1 || got[0] != EventEvict {
+		t.Fatalf("subscriber saw %v for %s, want exactly one eviction", got, epc)
+	}
+
+	// This stroke's eviction is lost; the next stroke goes to c:1.
+	handOffAndFinalize("b:1")
+	if err := r.Dispatch(ctx, reader.Sample{EPC: epc, T: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Handoff(ctx, epc, "c:1"); err != nil {
+		t.Fatal(err)
+	}
+	if got := drain(point, evict); len(got) != 0 {
+		t.Fatalf("b:1's stale events %v for %s forwarded while the stroke is live on c:1", got, epc)
+	}
+}
