@@ -204,10 +204,9 @@ func (c *Client) Subscribe(ctx context.Context) (<-chan Event, CancelFunc) {
 // kind is in opts.Kinds (all kinds when empty) for EPCs in opts.EPCs
 // (all pens when empty; events with no EPC, like backend health and
 // membership, always pass the EPC filter) are delivered. The filter
-// is enforced at the event source — before the events occupy the
-// subscriber's buffer locally, and before they are framed onto the
-// wire against v5 shard servers — so a consumer watching one pen's
-// commits is not billed the whole tier's fan-out.
+// is enforced before events occupy the subscriber's buffer, so a
+// consumer watching one pen's commits is not billed the whole tier's
+// fan-out.
 func (c *Client) SubscribeFiltered(ctx context.Context, opts SubscribeOptions) (<-chan Event, CancelFunc) {
 	return c.backend.SubscribeFiltered(ctx, opts)
 }
@@ -228,11 +227,9 @@ func (c *Client) ServeMetrics(addr string) (*MetricsServer, error) {
 // ClusterStats aggregates telemetry across the whole tier: the
 // client's own registry (router/journal/wire metrics, plus all decode
 // metrics in local mode) merged with a snapshot pulled from every
-// remote shard server over the v5 telemetry RPC. Counters and
-// histogram buckets add; gauges sum. Pre-v5 servers are skipped
-// silently (their metrics simply don't contribute); transport
-// failures are returned alongside the snapshot built from the shards
-// that did answer.
+// remote shard server over the telemetry RPC. Counters and histogram
+// buckets add; gauges sum. Failures are returned alongside the
+// snapshot built from the shards that did answer.
 func (c *Client) ClusterStats(ctx context.Context) (TelemetrySnapshot, error) {
 	agg := c.tel.Snapshot()
 	if c.router == nil {
@@ -242,9 +239,6 @@ func (c *Client) ClusterStats(ctx context.Context) (TelemetrySnapshot, error) {
 	for name, rc := range c.snapshotRemotes() {
 		s, err := rc.Telemetry(ctx)
 		if err != nil {
-			if errors.Is(err, ErrVersionMismatch) {
-				continue
-			}
 			errs = append(errs, fmt.Errorf("polardraw: telemetry from %s: %w", name, err))
 			continue
 		}
@@ -325,8 +319,7 @@ func (c *Client) IngressDropped() uint64 {
 // always zero locally): samples the servers rejected or that aged out
 // of the resend buffer during a long outage. Samples merely in flight
 // across a transport failure are resent after the automatic reconnect
-// and do not count (against pre-v3 servers the legacy semantics apply:
-// every sample buffered across a failure is lost and counted).
+// and do not count.
 func (c *Client) SamplesLost() uint64 {
 	var n uint64
 	for _, rc := range c.snapshotRemotes() {
@@ -373,9 +366,9 @@ func (c *Client) Epoch() uint64 { return c.routerOf().Epoch() }
 // An epoch not strictly greater than the current one fails with
 // ErrStaleEpoch and changes nothing, so replayed or racing updates are
 // harmless. In remote mode the applied table is also pushed to every
-// member (best effort), so v4 shard servers rebroadcast it to their
-// other subscribed clients; pre-v4 servers and already-current epochs
-// are skipped silently. Errors from individual joins, migrations, or
+// member (best effort), so shard servers rebroadcast it to their
+// other subscribed clients; members already at the epoch are skipped
+// silently. Errors from individual joins, migrations, or
 // pushes are joined and returned; the epoch still applies, so retry
 // stragglers with a later epoch.
 func (c *Client) ApplyMembership(ctx context.Context, m Membership) error {
@@ -404,9 +397,7 @@ func (c *Client) ApplyMembership(ctx context.Context, m Membership) error {
 	errs := []error{err}
 	for name, rc := range c.snapshotRemotes() {
 		perr := rc.SetMembership(ctx, m)
-		if perr == nil ||
-			errors.Is(perr, ErrStaleEpoch) || // someone beat us to it
-			errors.Is(perr, ErrVersionMismatch) { // pre-v4 server
+		if perr == nil || errors.Is(perr, ErrStaleEpoch) { // someone beat us to it
 			continue
 		}
 		errs = append(errs, fmt.Errorf("polardraw: push membership to %s: %w", name, perr))

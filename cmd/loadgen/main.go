@@ -209,9 +209,8 @@ func main() {
 	)
 	const maxLatSamples = 1 << 21
 
-	// The unified event stream replaces the OnPoint/OnEvict callbacks:
-	// one subscription observes every pen on every shard, local or
-	// remote.
+	// One subscription to the unified event stream observes every pen
+	// on every shard, local or remote.
 	events, cancelEvents := c.Subscribe(ctx)
 	eventsDone := make(chan struct{})
 	go func() {
@@ -259,7 +258,7 @@ func main() {
 	// Churn forces the session-lifecycle path under load: a ticker
 	// finalizes random live sessions; the next sample for a churned EPC
 	// reopens it implicitly (inheriting the client's decode defaults —
-	// the v5 hello push in remote mode). Incompatible with -verify,
+	// the hello push in remote mode). Incompatible with -verify,
 	// which requires every session live at close.
 	var churned atomic.Int64
 	var curRound atomic.Int64

@@ -117,9 +117,8 @@ func (f *Flags) Addrs() []string {
 // command line is the deployment's source of truth — except Window 0,
 // which keeps the core default. This holds in remote mode too: the
 // decode flags become the client's connect-time defaults, pushed in
-// the protocol-v5 hello so sessions opened implicitly on a shard
-// inherit them (pre-v5 servers ignore them and decode with their own
-// configuration). Backpressure flags other than the event buffer stay
+// the shardrpc hello so sessions opened implicitly on a shard inherit
+// them. Backpressure flags other than the event buffer stay
 // server-side in remote mode (set them on `polardraw -serve-shard`).
 func (f *Flags) Options() ([]Option, error) {
 	var opts []Option

@@ -106,9 +106,7 @@ func await[T any](ctx context.Context, fn func() T) (T, error) {
 
 // LocalConfig parameterizes a LocalBackend.
 type LocalConfig struct {
-	// Session configures the backend's Manager. Its OnPoint/OnEvict
-	// callbacks are invoked concurrently from per-session workers; see
-	// the Config docs.
+	// Session configures the backend's Manager.
 	Session Config
 	// QueueSize bounds the ingress queue (default DefaultShardQueue).
 	QueueSize int
@@ -283,7 +281,7 @@ func (lb *LocalBackend) Dropped() uint64 { return lb.dropped.Load() }
 // them, exactly as a late sample after an eviction would. If ctx ends
 // while the session drains, Finalize returns ctx.Err() and the
 // finalization completes in the background (the result still reaches
-// the event stream and OnEvict).
+// the event stream).
 func (lb *LocalBackend) Finalize(ctx context.Context, epc string) (*core.Result, error) {
 	type out struct {
 		res *core.Result
@@ -408,7 +406,7 @@ func (lb *LocalBackend) Close(ctx context.Context) (map[string]*core.Result, err
 	}
 }
 
-// Compile-time contract checks: every backend implements the v2
+// Compile-time contract checks: every backend implements the
 // context-aware ShardBackend.
 var (
 	_ ShardBackend = (*LocalBackend)(nil)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"polardraw/internal/core"
-	"polardraw/internal/geom"
 	"polardraw/internal/reader"
 )
 
@@ -69,8 +68,8 @@ func (b *blockingBackend) Close(ctx context.Context) (map[string]*core.Result, e
 
 // TestLocalBackendContext exercises the prompt-cancellation guarantee
 // on the in-process backend under -race: a Dispatch blocked on a
-// wedged pipeline (full session queue behind a stalled OnPoint, full
-// ingress queue) returns ctx.Err() promptly, as does a Finalize
+// wedged pipeline (full session queue behind a stalled window hook,
+// full ingress queue) returns ctx.Err() promptly, as does a Finalize
 // waiting on the wedged worker; already-expired contexts short-circuit
 // the fast control calls.
 func TestLocalBackendContext(t *testing.T) {
@@ -84,12 +83,12 @@ func TestLocalBackendContext(t *testing.T) {
 		Session: Config{
 			Tracker:   core.Config{Antennas: ants, Window: 0.01},
 			QueueSize: 1,
-			OnPoint: func(string, core.Window, geom.Vec2) {
-				once.Do(func() { close(blocked) })
-				<-release
-			},
 		},
 	})
+	lb.m.windowHook = func(string) {
+		once.Do(func() { close(blocked) })
+		<-release
+	}
 	defer func() {
 		close(release)
 		if _, err := lb.Close(context.Background()); err != nil {
@@ -97,7 +96,7 @@ func TestLocalBackendContext(t *testing.T) {
 		}
 	}()
 
-	// Feed samples until the first window closes and OnPoint wedges the
+	// Feed samples until the first window closes and the hook wedges the
 	// session worker; from there the queues fill and Dispatch must
 	// block.
 	ctx, cancel := context.WithCancel(context.Background())

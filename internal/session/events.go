@@ -18,16 +18,14 @@ const (
 	// immediately before the paired EventPoint.
 	EventWindowClose EventKind = iota + 1
 	// EventPoint: the session decoder's live position estimate advanced
-	// (Window and Live are set). This is the event the legacy
-	// Config.OnPoint callback observed.
+	// (Window and Live are set).
 	EventPoint
 	// EventCommit: the fixed-lag Viterbi smoother committed a
 	// trajectory segment (CommitStart and Segment are set; see
 	// core.StreamTracker.OnCommit for the prefix contract).
 	EventCommit
 	// EventEvict: a session was finalized — explicitly, by idle sweep,
-	// by LRU pressure, or at Close (Result or Err is set). This is the
-	// event the legacy Config.OnEvict callback observed.
+	// by LRU pressure, or at Close (Result or Err is set).
 	EventEvict
 	// EventBackendHealth: a routed backend crossed the healthy/
 	// unhealthy boundary (Backend and Healthy are set). Emitted only by
@@ -40,7 +38,7 @@ const (
 	EventCheckpoint
 	// EventMembership: a new cluster membership epoch was applied
 	// (Epoch and Members are set). Emitted by Router.ApplyMembership
-	// and pushed by shard servers to protocol-v4 subscribers; routers
+	// and pushed by shard servers to their subscribers; routers
 	// apply upstream pushes instead of forwarding them verbatim, so a
 	// subscriber sees exactly one event per epoch its router applied.
 	EventMembership
@@ -127,9 +125,8 @@ type CancelFunc func()
 // describe the cluster rather than any one pen. Filters are applied at
 // the publishing hub — a filtered-out event is never enqueued, so it
 // neither occupies buffer space nor counts against the subscriber's
-// drop budget — and shardrpc negotiates them over the wire (protocol
-// v5), so remote filtering happens server-side before any frame is
-// written.
+// drop budget — and shardrpc carries them over the wire, so remote
+// filtering happens server-side before any frame is written.
 type SubscribeOptions struct {
 	// Kinds restricts delivery to these event kinds (empty = all).
 	Kinds []EventKind

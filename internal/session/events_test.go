@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"polardraw/internal/core"
-	"polardraw/internal/geom"
 	"polardraw/internal/reader"
 )
 
@@ -48,28 +47,14 @@ func (l *eventLog) get(k EventKind) []Event {
 // backend: per valid window a WindowClose then a Point event (same
 // window payload), Commit segments that concatenate to a prefix of the
 // finalized trajectory, and exactly one Evict per session carrying the
-// same Result Finalize returned. The legacy OnPoint/OnEvict adapters
-// must observe the same occurrences concurrently.
+// same Result Finalize returned.
 func TestUnifiedEventStream(t *testing.T) {
 	const pens = 3
 	samples, _, ants := penStreams(t, pens, 77)
 	perEPC := reader.SplitByEPC(samples)
 
-	var cbMu sync.Mutex
-	cbPoints := map[string]int{}
-	cbEvicts := map[string]int{}
 	lb := NewLocalBackend(LocalConfig{Session: Config{
 		Tracker: core.Config{Antennas: ants, Window: 0.2, CommitLag: 8},
-		OnPoint: func(epc string, _ core.Window, _ geom.Vec2) {
-			cbMu.Lock()
-			cbPoints[epc]++
-			cbMu.Unlock()
-		},
-		OnEvict: func(epc string, _ *core.Result, _ error) {
-			cbMu.Lock()
-			cbEvicts[epc]++
-			cbMu.Unlock()
-		},
 	}})
 
 	ctx := context.Background()
@@ -148,18 +133,6 @@ func TestUnifiedEventStream(t *testing.T) {
 		if ev.Result != results[ev.EPC] {
 			t.Fatalf("EPC %s: Evict result is not the Close result", ev.EPC)
 		}
-	}
-
-	// Legacy adapters observed the same occurrences.
-	cbMu.Lock()
-	defer cbMu.Unlock()
-	for epc, ps := range perEPCPoints {
-		if cbPoints[epc] != len(ps) {
-			t.Fatalf("EPC %s: OnPoint fired %d times, events carried %d", epc, cbPoints[epc], len(ps))
-		}
-	}
-	if len(cbEvicts) != pens {
-		t.Fatalf("OnEvict saw %d pens, want %d", len(cbEvicts), pens)
 	}
 
 	// Per-EPC counts agree with the windows the sub-streams produced.

@@ -166,8 +166,7 @@ type pinger interface {
 }
 
 // abandoner is implemented by transports that buffer unacknowledged
-// samples for resend after reconnect (shardrpc.Client with the v3
-// protocol). Failover clears that buffer so the migrated EPCs are not
+// samples for resend after reconnect (shardrpc.Client). Failover clears that buffer so the migrated EPCs are not
 // replayed into the dead shard when its transport comes back — every
 // buffered sample is already in the journal.
 type abandoner interface {
@@ -674,7 +673,7 @@ func (r *Router) HealthCounts() (healthy, unhealthy int) {
 // in-flight probe round.
 //
 // With a journal attached the heartbeat is what makes failover prompt:
-// the v3 wire protocol buffers dispatches for resend instead of
+// the shardrpc client buffers dispatches for resend instead of
 // failing them, so a dead remote shard often surfaces first as a probe
 // streak, not a call streak.
 func (r *Router) StartHeartbeat(interval time.Duration) {
@@ -1724,7 +1723,7 @@ func (r *Router) forwardFrom(rb *routerBackend, ev Event) {
 	case EventEvict:
 		r.strokeDone(ev.EPC, nil)
 	case EventMembership:
-		// A shard server pushed a new routing table (v4 protocol): apply
+		// A shard server pushed a new routing table: apply
 		// it instead of forwarding it verbatim. Asynchronously, because
 		// ApplyMembership takes the routing write lock and may drain
 		// whole backends while this forwarder must keep consuming its

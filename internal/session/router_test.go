@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"polardraw/internal/core"
-	"polardraw/internal/geom"
 	"polardraw/internal/reader"
 )
 
@@ -276,12 +275,11 @@ func TestRouterHealth(t *testing.T) {
 	}
 }
 
-// TestRouterConcurrentCallbacks exercises the documented concurrency
-// contract of shared OnPoint/OnEvict callbacks under -race: every
-// session worker on every shard behind the router may invoke them
-// simultaneously, so the callbacks themselves must synchronize any
-// shared state (here a mutex-guarded pair of maps). A callback doing
-// plain map/int writes would fail this test under the race detector.
+// TestRouterConcurrentCallbacks exercises the router's event merge
+// under -race: every session worker on every shard behind the router
+// publishes Point and Evict events simultaneously, and one filtered
+// subscription must still see every pen's points and exactly one
+// eviction per pen.
 func TestRouterConcurrentCallbacks(t *testing.T) {
 	const pens = 8
 	samples, _, ants := penStreams(t, pens, 23)
@@ -290,28 +288,20 @@ func TestRouterConcurrentCallbacks(t *testing.T) {
 		t.Fatalf("scenario produced %d EPCs, want %d", len(perEPC), pens)
 	}
 
-	var mu sync.Mutex
-	points := map[string]int{}
-	evicts := map[string]int{}
 	sm := NewShardedManager(ShardedConfig{
 		Session: Config{
-			Tracker: core.Config{Antennas: ants, Window: 0.25, CommitLag: 8},
-			OnPoint: func(epc string, _ core.Window, _ geom.Vec2) {
-				mu.Lock()
-				points[epc]++
-				mu.Unlock()
-			},
-			OnEvict: func(epc string, _ *core.Result, _ error) {
-				mu.Lock()
-				evicts[epc]++
-				mu.Unlock()
-			},
+			Tracker:     core.Config{Antennas: ants, Window: 0.25, CommitLag: 8},
+			EventBuffer: 1 << 16, // never shed: the counts below are exact
 		},
 		Shards: 4,
 	})
+	ch, cancel := sm.SubscribeFiltered(context.Background(),
+		SubscribeOptions{Kinds: []EventKind{EventPoint, EventEvict}})
+	defer cancel()
+	log, done := collect(ch)
 
 	// Every pen streams from its own goroutine, so the four shard
-	// workers run hot simultaneously and the callbacks genuinely
+	// workers run hot simultaneously and their events genuinely
 	// overlap.
 	var wg sync.WaitGroup
 	for epc := range perEPC {
@@ -330,14 +320,21 @@ func TestRouterConcurrentCallbacks(t *testing.T) {
 	if _, err := sm.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	<-done // Close flushes the stream and ends the subscription
 
-	mu.Lock()
-	defer mu.Unlock()
+	points := map[string]int{}
+	for _, ev := range log.get(EventPoint) {
+		points[ev.EPC]++
+	}
+	evicts := map[string]int{}
+	for _, ev := range log.get(EventEvict) {
+		evicts[ev.EPC]++
+	}
 	if len(points) != pens {
-		t.Fatalf("OnPoint saw %d pens, want %d", len(points), pens)
+		t.Fatalf("Point events reached %d pens, want %d", len(points), pens)
 	}
 	if len(evicts) != pens {
-		t.Fatalf("OnEvict saw %d pens, want %d", len(evicts), pens)
+		t.Fatalf("Evict events reached %d pens, want %d", len(evicts), pens)
 	}
 	for epc, n := range evicts {
 		if n != 1 {

@@ -61,12 +61,6 @@ var (
 	// exhausted (see AdmissionConfig). The sample was not journaled and
 	// not dispatched; callers may retry after backing off.
 	ErrOverloaded = errors.New("session: overloaded")
-
-	// ErrUnknownSession is the taxonomy's previous name for
-	// ErrUnknownEPC.
-	//
-	// Deprecated: use ErrUnknownEPC.
-	ErrUnknownSession = ErrUnknownEPC
 )
 
 // Config parameterizes a Manager.
@@ -78,7 +72,7 @@ type Config struct {
 	QueueSize int
 	// MaxSessions caps concurrently live sessions (default 64). When a
 	// new EPC would exceed the cap, the least-recently-active session
-	// is evicted: finalized and delivered to OnEvict.
+	// is evicted: finalized and published as an EventEvict.
 	MaxSessions int
 	// DropWhenFull selects the backpressure policy for a full queue:
 	// false (default) blocks the dispatcher until the worker drains —
@@ -96,29 +90,6 @@ type Config struct {
 	// Checkpoints are taken on the session worker between pushes so
 	// each snapshot is consistent with its covered count; 0 disables.
 	CheckpointEvery int
-
-	// OnPoint is the legacy callback adapter for what is now the
-	// unified event stream (Subscribe; EventPoint). If set, it is
-	// invoked each time a window closes, with the live position
-	// estimate. It runs on the closing session's worker goroutine, so
-	// with more than one live session invocations are CONCURRENT — and
-	// in a sharded deployment the same callback is shared by every
-	// shard's workers (and by shardrpc client read loops). The callback
-	// must synchronize any shared state itself; see
-	// TestRouterConcurrentCallbacks for the contract under -race. A
-	// slow OnPoint stalls only its own session's decode.
-	//
-	// Deprecated: use ShardBackend.Subscribe and filter EventPoint.
-	OnPoint func(epc string, w core.Window, live geom.Vec2)
-	// OnEvict is the legacy callback adapter for EventEvict. If set, it
-	// receives the finalized result (or error) of every session that is
-	// evicted or finalized. Like OnPoint it may be invoked concurrently
-	// (evictions triggered from different goroutines, FinalizeAll
-	// finalizing sessions in parallel) and must be safe for concurrent
-	// use.
-	//
-	// Deprecated: use ShardBackend.Subscribe and filter EventEvict.
-	OnEvict func(epc string, res *core.Result, err error)
 
 	// Telemetry, when non-nil, receives the decode and session-manager
 	// metrics (window-close latency, beam width, commit kinds, queue
@@ -230,6 +201,11 @@ type Manager struct {
 	mu       sync.Mutex
 	sessions map[string]*session
 	closed   bool
+
+	// windowHook, when set, runs on a session's worker after each
+	// window close. In-package tests use it to wedge a worker; set it
+	// before the first session starts.
+	windowHook func(epc string)
 }
 
 // NewManager builds a manager; zero Config fields take defaults.
@@ -486,8 +462,8 @@ func (m *Manager) sessionFor(epc string, defaults OpenOptions) (*session, error)
 	return s, nil
 }
 
-// finalizeSession drains and decodes one removed session, delivering
-// the outcome to the event stream and the legacy OnEvict adapter.
+// finalizeSession drains and decodes one removed session, publishing
+// the outcome to the event stream.
 func (m *Manager) finalizeSession(s *session) (*core.Result, error) {
 	res, err := s.finalize()
 	if m.tel != nil {
@@ -495,9 +471,6 @@ func (m *Manager) finalizeSession(s *session) (*core.Result, error) {
 	}
 	if m.events.HasSubscribers() {
 		m.events.Publish(Event{Kind: EventEvict, EPC: s.epc, Result: res, Err: err})
-	}
-	if m.cfg.OnEvict != nil {
-		m.cfg.OnEvict(s.epc, res, err)
 	}
 	return res, err
 }
@@ -535,7 +508,7 @@ func (m *Manager) wireSession(epc string, st *core.StreamTracker) *session {
 		tel:   m.tel,
 	}
 	s.lastActive.Store(time.Now().UnixNano())
-	onPoint := m.cfg.OnPoint
+	hook := m.windowHook
 	// Commit-kind counters publish deltas against the snapshot's
 	// baseline so a restored session does not re-count its history.
 	// Worker-only state: OnWindow runs on the session goroutine.
@@ -564,8 +537,8 @@ func (m *Manager) wireSession(epc string, st *core.StreamTracker) *session {
 			m.events.Publish(Event{Kind: EventWindowClose, EPC: epc, Window: w})
 			m.events.Publish(Event{Kind: EventPoint, EPC: epc, Window: w, Live: live})
 		}
-		if onPoint != nil {
-			onPoint(epc, w, live)
+		if hook != nil {
+			hook(epc)
 		}
 	}
 	// Commit segments flow to the event stream and into the session's
@@ -763,7 +736,8 @@ func (m *Manager) EvictIdle(maxIdle time.Duration) int {
 
 // FinalizeAll drains and finalizes every session, returning results
 // keyed by EPC (sessions whose streams were too short are omitted; they
-// still reach OnEvict with their error). The manager stays usable.
+// still publish their EventEvict with the error). The manager stays
+// usable.
 func (m *Manager) FinalizeAll() map[string]*core.Result {
 	m.mu.Lock()
 	ss := make([]*session, 0, len(m.sessions))

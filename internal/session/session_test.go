@@ -1,6 +1,7 @@
 package session
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -216,17 +217,26 @@ func TestBackpressureDrop(t *testing.T) {
 // TestSessionEviction covers the MaxSessions LRU cap and idle eviction.
 func TestSessionEviction(t *testing.T) {
 	ants := motion.DefaultRig().Antennas()
-	var mu sync.Mutex
-	evicted := map[string]error{}
 	m := NewManager(Config{
 		Tracker:     core.Config{Antennas: ants},
 		MaxSessions: 2,
-		OnEvict: func(epc string, res *core.Result, err error) {
-			mu.Lock()
-			evicted[epc] = err
-			mu.Unlock()
-		},
 	})
+	ch, cancel := m.SubscribeFiltered(context.Background(),
+		SubscribeOptions{Kinds: []EventKind{EventEvict}})
+	defer cancel()
+	// finalizeSession publishes before it returns, so every eviction
+	// is buffered on ch by the time the triggering call is back.
+	evicted := map[string]error{}
+	drain := func() {
+		for {
+			select {
+			case ev := <-ch:
+				evicted[ev.EPC] = ev.Err
+			default:
+				return
+			}
+		}
+	}
 
 	push := func(epc string, t0 float64) {
 		for i := 0; i < 10; i++ {
@@ -245,10 +255,8 @@ func TestSessionEviction(t *testing.T) {
 	if m.Len() != 2 {
 		t.Fatalf("sessions = %d, want 2", m.Len())
 	}
-	mu.Lock()
-	_, aEvicted := evicted["pen-a"]
-	mu.Unlock()
-	if !aEvicted {
+	drain()
+	if _, aEvicted := evicted["pen-a"]; !aEvicted {
 		t.Fatal("LRU session pen-a was not evicted")
 	}
 
@@ -259,14 +267,13 @@ func TestSessionEviction(t *testing.T) {
 	if m.Len() != 0 {
 		t.Fatalf("sessions = %d after idle eviction, want 0", m.Len())
 	}
-	mu.Lock()
+	drain()
 	if len(evicted) != 3 {
 		t.Fatalf("evictions = %d, want 3", len(evicted))
 	}
-	mu.Unlock()
 
-	if _, err := m.Finalize("pen-x"); err != ErrUnknownSession {
-		t.Fatalf("Finalize unknown: got %v, want ErrUnknownSession", err)
+	if _, err := m.Finalize("pen-x"); err != ErrUnknownEPC {
+		t.Fatalf("Finalize unknown: got %v, want ErrUnknownEPC", err)
 	}
 }
 

@@ -18,12 +18,8 @@ const (
 
 // ShardedConfig parameterizes a ShardedManager.
 type ShardedConfig struct {
-	// Session configures every shard's Manager. The OnPoint/OnEvict
-	// callbacks are shared across shards and ARE invoked concurrently:
-	// every session worker on every shard may call them at the same
-	// time, so they must be safe for concurrent use (atomics, a mutex,
-	// or a channel — see TestRouterConcurrentCallbacks). MaxSessions
-	// applies per shard.
+	// Session configures every shard's Manager. MaxSessions applies
+	// per shard.
 	Session Config
 	// Shards is the number of independent local backends EPCs are
 	// routed across (default 4). Each shard has its own ingress worker,
@@ -216,7 +212,7 @@ func (sm *ShardedManager) Restore(ctx context.Context, epc string, state []byte)
 // Close stops ingress, drains every shard queue, finalizes all
 // sessions concurrently, and returns the decoded results keyed by
 // EPC (sessions whose streams were too short are omitted; they still
-// reach the event stream and OnEvict with their error). Further
+// reach the event stream with their error). Further
 // dispatches fail with ErrClosed. Close is idempotent; later calls
 // return nil.
 func (sm *ShardedManager) Close(ctx context.Context) (map[string]*core.Result, error) {

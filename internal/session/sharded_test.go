@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,14 +72,14 @@ func TestShardedDemuxMatchesBatch(t *testing.T) {
 func TestShardedStatsAndEviction(t *testing.T) {
 	const pens = 5
 	samples, _, ants := penStreams(t, pens, 11)
-	var evicted atomic.Int64
 	sm := NewShardedManager(ShardedConfig{
-		Session: Config{
-			Tracker: core.Config{Antennas: ants},
-			OnEvict: func(string, *core.Result, error) { evicted.Add(1) },
-		},
-		Shards: 4,
+		Session: Config{Tracker: core.Config{Antennas: ants}},
+		Shards:  4,
 	})
+	ch, cancel := sm.SubscribeFiltered(context.Background(),
+		SubscribeOptions{Kinds: []EventKind{EventEvict}})
+	defer cancel()
+	log, done := collect(ch)
 	if err := sm.DispatchBatch(context.Background(), samples); err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +109,11 @@ func TestShardedStatsAndEviction(t *testing.T) {
 	if sm.Len() != 0 {
 		t.Fatalf("sessions after eviction = %d", sm.Len())
 	}
-	if got := evicted.Load(); got != pens {
-		t.Fatalf("OnEvict fired %d times, want %d", got, pens)
-	}
 	sm.Close(context.Background())
+	<-done
+	if got := log.count(EventEvict); got != pens {
+		t.Fatalf("%d Evict events, want %d", got, pens)
+	}
 }
 
 // TestShardedJoinLeaveRace exercises the sharded tier under the
@@ -128,17 +128,18 @@ func TestShardedJoinLeaveRace(t *testing.T) {
 	if len(perEPC) != pens {
 		t.Fatalf("scenario produced %d EPCs, want %d", len(perEPC), pens)
 	}
-	var finalized sync.Map // epc -> true once a result or error was delivered
 	sm := NewShardedManager(ShardedConfig{
 		Session: Config{
-			Tracker: core.Config{Antennas: ants, Window: 0.3},
-			OnEvict: func(epc string, _ *core.Result, _ error) {
-				finalized.Store(epc, true)
-			},
+			Tracker:     core.Config{Antennas: ants, Window: 0.3},
+			EventBuffer: 1 << 12, // never shed: every eviction must arrive
 		},
 		Shards:    3,
 		QueueSize: 64,
 	})
+	ch, cancel := sm.SubscribeFiltered(context.Background(),
+		SubscribeOptions{Kinds: []EventKind{EventEvict}})
+	defer cancel()
+	log, evDone := collect(ch)
 
 	epcs := make([]string, 0, pens)
 	for epc := range perEPC {
@@ -200,9 +201,14 @@ func TestShardedJoinLeaveRace(t *testing.T) {
 	<-done
 
 	sm.Close(context.Background())
+	<-evDone
+	finalized := map[string]bool{} // a result or error was delivered
+	for _, ev := range log.get(EventEvict) {
+		finalized[ev.EPC] = true
+	}
 	for _, epc := range epcs {
-		if _, ok := finalized.Load(epc); !ok {
-			t.Errorf("EPC %s never reached OnEvict", epc)
+		if !finalized[epc] {
+			t.Errorf("EPC %s never published an Evict event", epc)
 		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"polardraw/internal/core"
-	"polardraw/internal/geom"
 	"polardraw/internal/reader"
 	"polardraw/internal/session"
 	"polardraw/internal/telemetry"
@@ -61,18 +60,10 @@ type ClientConfig struct {
 	// EventBuffer bounds each Subscribe consumer's channel (default
 	// session.DefaultEventBuffer).
 	EventBuffer int
-	// OnPoint is the legacy callback adapter for EventPoint: if set,
-	// the connection subscribes to the server's event stream and
-	// invokes it per point event, mirroring session.Config.OnPoint
-	// across the wire. It runs on the client's read loop: keep it
-	// fast, or responses stall behind it.
-	//
-	// Deprecated: use Client.Subscribe and filter EventPoint.
-	OnPoint func(epc string, w core.Window, live geom.Vec2)
-	// ResendLimit bounds the unacknowledged-sample buffer under the v3
-	// protocol (default 1<<16). When an outage outlasts the buffer, the
-	// oldest samples age out and are counted in Lost; everything
-	// younger is resent after the reconnect.
+	// ResendLimit bounds the unacknowledged-sample buffer (default
+	// 1<<16). When an outage outlasts the buffer, the oldest samples
+	// age out and are counted in Lost; everything younger is resent
+	// after the reconnect.
 	ResendLimit int
 	// RedialBackoff is the starting gap between reconnection attempts
 	// after a failed dial (default 250ms). Consecutive failures double
@@ -88,10 +79,9 @@ type ClientConfig struct {
 	// injection (internal/chaos wraps the returned conn).
 	Dialer func(addr string, timeout time.Duration) (net.Conn, error)
 	// Defaults are the client's default decode OpenOptions, carried in
-	// the v5 hello so sessions opened implicitly by dispatching an
-	// unseen EPC inherit them server-side — bit-equivalent to the same
-	// defaults applied to a local manager. Ignored by pre-v5 servers
-	// (remote implicit sessions then use the server's own defaults).
+	// the hello so sessions opened implicitly by dispatching an unseen
+	// EPC inherit them server-side — bit-equivalent to the same
+	// defaults applied to a local manager.
 	Defaults session.OpenOptions
 	// Telemetry, when set, receives the client's wire metrics: frame
 	// bytes in both directions, dispatch batch sizes, and redials.
@@ -156,7 +146,7 @@ type respMsg struct {
 }
 
 // seqSample is one dispatched sample with its per-client sequence
-// number (v3 acked dispatch).
+// number (acked dispatch).
 type seqSample struct {
 	seq uint64
 	smp reader.Sample
@@ -170,15 +160,12 @@ type seqSample struct {
 // synchronous request, preserving per-EPC order between samples and
 // control calls).
 //
-// Under the negotiated v3 protocol every dispatched sample carries a
-// sequence number and stays buffered until the server acknowledges it:
-// a transport failure delays delivery (the tail is resent after the
-// automatic reconnect, deduplicated server-side by sequence) instead
-// of losing it. Lost then counts only samples the server rejected or
-// that aged out of the ResendLimit buffer during a long outage. When
-// the handshake negotiates the legacy v2 dialect, the pre-durability
-// behavior applies: samples buffered across a transport failure are
-// dropped and counted in Lost.
+// Every dispatched sample carries a sequence number and stays buffered
+// until the server acknowledges it: a transport failure delays
+// delivery (the tail is resent after the automatic reconnect,
+// deduplicated server-side by sequence) instead of losing it. Lost
+// counts only samples the server rejected or that aged out of the
+// ResendLimit buffer during a long outage.
 //
 // Every method honours its context: a call blocked on a dead or
 // unresponsive remote returns ctx.Err() as soon as the context ends
@@ -194,7 +181,6 @@ type Client struct {
 	conn       net.Conn
 	bw         *bufio.Writer
 	gen        int // connection generation; stale read loops are ignored
-	negotiated byte
 	subscribed bool
 	// subFilter is the filter the wire-level subscription was armed
 	// with (zero = unfiltered). When subscribers with incompatible
@@ -202,8 +188,7 @@ type Client struct {
 	// consumer's own hub filter narrows delivery.
 	subFilter session.SubscribeOptions
 	// pending holds buffered samples not yet written; sent holds
-	// written-but-unacknowledged samples (v3 only — the v2 dialect has
-	// no acks, so sent stays empty). Sequence numbers across
+	// written-but-unacknowledged samples. Sequence numbers across
 	// sent ++ pending are contiguous.
 	pending []seqSample
 	sent    []seqSample
@@ -231,11 +216,10 @@ type Client struct {
 	tel cliTelemetry
 }
 
-// Dial connects to a shard server and performs the version handshake,
-// negotiating the highest protocol generation both ends speak. The
-// background flush loop starts immediately; the connection is
-// re-established transparently after failures. A peer below the
-// supported floor fails with ErrVersionMismatch.
+// Dial connects to a shard server and performs the version handshake.
+// The background flush loop starts immediately; the connection is
+// re-established transparently after failures. A server speaking
+// another protocol version fails with ErrVersionMismatch.
 func Dial(cfg ClientConfig) (*Client, error) {
 	if err := cfg.Defaults.Validate(); err != nil {
 		return nil, fmt.Errorf("shardrpc: default open options: %w", err)
@@ -263,86 +247,54 @@ func Dial(cfg ClientConfig) (*Client, error) {
 // Addr returns the configured server address.
 func (c *Client) Addr() string { return c.cfg.Addr }
 
-// Lost counts samples that are gone for good: under the v3 protocol,
-// samples the server rejected or that aged out of the resend buffer;
-// under the legacy v2 dialect, also samples dropped at transport
-// failures.
+// Lost counts samples that are gone for good: samples the server
+// rejected or that aged out of the resend buffer.
 func (c *Client) Lost() uint64 { return c.lost.Load() }
-
-// Proto returns the negotiated protocol generation (0 before the first
-// successful handshake).
-func (c *Client) Proto() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return int(c.negotiated)
-}
 
 // Reconnects counts successful redials after a connection failure.
 func (c *Client) Reconnects() uint64 { return c.reconnects.Load() }
 
 // handshake performs the synchronous version exchange on a fresh
-// connection, before any other frame: send opHello carrying `speak`
-// (plus the client identity from v3 on), read the opResp, and return
-// the version the server negotiated. rejected reports that the server
-// refused the hello outright (an error status, or the hangup a
-// pre-versioning server answers with) — the case worth retrying in an
-// older dialect — as opposed to answering with a version outside the
-// client's range, where the negotiation already happened and failed
-// for good. The conn deadline bounds the whole exchange.
-func (c *Client) handshake(conn net.Conn, speak byte) (v byte, rejected bool, err error) {
+// connection, before any other frame: send opHello carrying the
+// protocol version, the client identity, and the default decode
+// options, then read the opResp, which must echo the same version. A
+// hangup before the reply is a transport failure (a dying shard), not
+// a version skew. The conn deadline bounds the whole exchange.
+func (c *Client) handshake(conn net.Conn) error {
 	if err := conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout)); err != nil {
-		return 0, false, unavailable(err)
+		return unavailable(err)
 	}
 	defer conn.SetDeadline(time.Time{})
 	var e enc
-	e.u8(speak)
-	if speak >= 3 {
-		if err := e.str(c.clientID); err != nil {
-			return 0, false, err
-		}
+	e.u8(protoVersion)
+	if err := e.str(c.clientID); err != nil {
+		return err
 	}
-	if speak >= 5 {
-		// The v5 hello carries the client's default decode options, so
-		// sessions opened implicitly by this connection's dispatches
-		// inherit them server-side.
-		encodeOpenOptions(&e, c.cfg.Defaults)
-	}
+	encodeOpenOptions(&e, c.cfg.Defaults)
 	bw := bufio.NewWriter(conn)
 	if err := writeFrame(bw, opHello, e.b); err != nil {
-		return 0, false, unavailable(err)
+		return unavailable(err)
 	}
 	if err := bw.Flush(); err != nil {
-		return 0, false, unavailable(err)
+		return unavailable(err)
 	}
 	op, payload, err := readFrame(conn)
 	if err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			// A pre-versioning server treats opHello as a protocol
-			// violation and hangs up without answering: the signature
-			// of version skew, reported as such.
-			return 0, true, fmt.Errorf("%w: server at %s hung up on the version handshake "+
-				"(pre-versioning shardrpc server? client speaks v%d)",
-				ErrVersionMismatch, c.cfg.Addr, protoVersion)
-		}
-		return 0, false, unavailable(err)
+		return unavailable(err)
 	}
 	if op != opResp {
-		return 0, false, fmt.Errorf("%w: server at %s answered the handshake with opcode 0x%02x",
+		return fmt.Errorf("%w: server at %s answered the handshake with opcode 0x%02x",
 			ErrVersionMismatch, c.cfg.Addr, op)
 	}
 	d := dec{b: payload}
 	if err := checkStatus(&d); err != nil {
-		// A v-mismatch error round-trips as ErrVersionMismatch; a
-		// strict pre-negotiation server rejects this way and may still
-		// accept the older dialect.
-		return 0, true, err
+		return err
 	}
-	v = d.u8()
-	if d.err != nil || v < protoVersionMin || v > speak {
-		return 0, false, fmt.Errorf("%w: server at %s negotiated v%d, client speaks v%d (min v%d)",
-			ErrVersionMismatch, c.cfg.Addr, v, protoVersion, protoVersionMin)
+	if v := d.u8(); d.err != nil || v != protoVersion {
+		return fmt.Errorf("%w: server at %s answered v%d, client speaks v%d",
+			ErrVersionMismatch, c.cfg.Addr, v, protoVersion)
 	}
-	return v, false, nil
+	return nil
 }
 
 // ensureConnLocked dials (and handshakes) if no live connection
@@ -385,27 +337,15 @@ func (c *Client) ensureConnLocked() error {
 	return nil
 }
 
-// dialLocked performs one full connection attempt: dial, negotiate
-// (falling back to the v2 hello when a v2-era server refuses the v3
-// one), start the read loop, resend the unacked tail, re-arm the
-// event subscription.
+// dialLocked performs one full connection attempt: dial, handshake,
+// start the read loop, resend the unacked tail, re-arm the event
+// subscription.
 func (c *Client) dialLocked() error {
 	conn, err := c.cfg.Dialer(c.cfg.Addr, c.cfg.DialTimeout)
 	if err != nil {
 		return unavailable(fmt.Errorf("shardrpc: dial %s: %w", c.cfg.Addr, err))
 	}
-	v, rejected, err := c.handshake(conn, protoVersion)
-	if rejected && errors.Is(err, ErrVersionMismatch) && protoVersionMin < protoVersion {
-		// A v2-era server rejects the v3 hello outright instead of
-		// negotiating; retry the exchange in the legacy dialect on a
-		// fresh connection (the server dropped the first).
-		conn.Close()
-		if conn, err = c.cfg.Dialer(c.cfg.Addr, c.cfg.DialTimeout); err != nil {
-			return unavailable(fmt.Errorf("shardrpc: dial %s: %w", c.cfg.Addr, err))
-		}
-		v, _, err = c.handshake(conn, protoVersionMin)
-	}
-	if err != nil {
+	if err := c.handshake(conn); err != nil {
 		conn.Close()
 		return err
 	}
@@ -416,23 +356,16 @@ func (c *Client) dialLocked() error {
 	c.conn = conn
 	c.bw = bufio.NewWriter(conn)
 	c.gen++
-	c.negotiated = v
 	c.subscribed = false
 	go c.readLoop(conn, c.gen)
-	if c.negotiated < 3 && len(c.sent)+len(c.pending) > 0 {
-		// Negotiated down to the ackless dialect: the buffered samples
-		// have no resend contract any more.
-		c.lost.Add(uint64(len(c.sent) + len(c.pending)))
-		c.sent, c.pending = nil, nil
-	}
-	if c.negotiated >= 3 && len(c.sent)+len(c.pending) > 0 {
+	if len(c.sent)+len(c.pending) > 0 {
 		// Resend everything unacknowledged; the server's per-client
 		// sequence state skips what it already applied.
 		if err := c.sendSeqLocked(true); err != nil {
 			return fmt.Errorf("shardrpc: resend %s: %w", c.cfg.Addr, err)
 		}
 	}
-	if c.cfg.OnPoint != nil || c.events.HasSubscribers() {
+	if c.events.HasSubscribers() {
 		// A failed subscribe has already torn the connection down
 		// (c.bw is nil again), so it must fail the ensure: callers are
 		// about to write frames.
@@ -445,11 +378,10 @@ func (c *Client) dialLocked() error {
 }
 
 // subscribePayloadLocked builds the opSubscribe payload for the
-// current wire filter: the encoded filter under a v5 connection, nil
-// (unfiltered) when the filter is zero, the peer predates filters, or
-// the OnPoint adapter needs the full stream; c.mu held.
+// current wire filter: the encoded filter, or nil (unfiltered) when
+// the filter is zero; c.mu held.
 func (c *Client) subscribePayloadLocked() []byte {
-	if c.negotiated < 5 || c.subFilter.IsZero() || c.cfg.OnPoint != nil {
+	if c.subFilter.IsZero() {
 		return nil
 	}
 	var e enc
@@ -546,53 +478,18 @@ func (c *Client) enforceResendCapLocked() {
 	}
 }
 
-// flushLocked sends the buffered dispatch batch; c.mu held. Under v3
-// the samples stay buffered until acked — a transport failure leaves
-// them queued for the post-reconnect resend (bounded by ResendLimit).
-// Under the legacy v2 dialect samples that cannot be sent are dropped
-// and counted, as buffering them without an ack contract would replay
-// arbitrarily stale reads.
+// flushLocked sends the buffered dispatch batch; c.mu held. The
+// samples stay buffered until acked — a transport failure leaves them
+// queued for the post-reconnect resend (bounded by ResendLimit).
 func (c *Client) flushLocked() error {
 	if len(c.pending) == 0 && len(c.sent) == 0 {
 		return nil
 	}
 	if err := c.ensureConnLocked(); err != nil {
-		if c.negotiated >= 3 || c.negotiated == 0 {
-			// Keep the samples; the redial path resends them. The
-			// negotiated==0 case (never connected) keeps them too — the
-			// first successful handshake decides their fate.
-			c.enforceResendCapLocked()
-		} else {
-			c.lost.Add(uint64(len(c.pending)))
-			c.pending = nil
-		}
+		c.enforceResendCapLocked()
 		return err
 	}
-	if c.negotiated >= 3 {
-		return c.sendSeqLocked(false)
-	}
-	if len(c.pending) == 0 {
-		return nil
-	}
-	smps := make([]reader.Sample, len(c.pending))
-	for i, ss := range c.pending {
-		smps[i] = ss.smp
-	}
-	var e enc
-	if err := encodeSamples(&e, smps); err != nil {
-		c.lost.Add(uint64(len(c.pending)))
-		c.pending = c.pending[:0]
-		return err
-	}
-	n := len(c.pending)
-	if err := c.writeFrameLocked(opDispatch, e.b); err != nil {
-		c.lost.Add(uint64(n))
-		c.pending = nil
-		return err
-	}
-	c.tel.batch.Observe(float64(n))
-	c.pending = c.pending[:0]
-	return nil
+	return c.sendSeqLocked(false)
 }
 
 // flushLoop bounds the time a buffered sample waits for its batch, and
@@ -611,7 +508,7 @@ func (c *Client) flushLoop() {
 			case c.closed:
 			case len(c.pending) > 0 || (c.conn == nil && len(c.sent) > 0):
 				_ = c.flushLocked()
-			case c.conn == nil && (c.cfg.OnPoint != nil || c.events.HasSubscribers()):
+			case c.conn == nil && c.events.HasSubscribers():
 				// Nothing to send, but a subscriber is waiting on the
 				// event stream: reconnect so commits fired during the
 				// outage resume flowing (the server replays the
@@ -626,8 +523,7 @@ func (c *Client) flushLoop() {
 }
 
 // readLoop demultiplexes the connection's inbound stream: event frames
-// go to subscribers (and the OnPoint adapter), response frames to the
-// oldest pending waiter.
+// go to subscribers, response frames to the oldest pending waiter.
 func (c *Client) readLoop(conn net.Conn, gen int) {
 	fail := func(err error) {
 		c.mu.Lock()
@@ -657,9 +553,6 @@ func (c *Client) readLoop(conn net.Conn, gen int) {
 				return
 			}
 			c.events.Publish(ev)
-			if c.cfg.OnPoint != nil && ev.Kind == session.EventPoint {
-				c.cfg.OnPoint(ev.EPC, ev.Window, ev.Live)
-			}
 		case opAck:
 			d := dec{b: payload}
 			acked := d.u64()
@@ -805,9 +698,8 @@ func (c *Client) Open(ctx context.Context, epc string, opts session.OpenOptions)
 }
 
 // Dispatch buffers one sample, flushing when the batch fills. Errors
-// surface only at flush boundaries; under v3 a flush error leaves the
-// samples buffered for the post-reconnect resend, under v2 they are
-// dropped and counted in Lost.
+// surface only at flush boundaries; a flush error leaves the samples
+// buffered for the post-reconnect resend.
 func (c *Client) Dispatch(ctx context.Context, smp reader.Sample) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -900,13 +792,12 @@ func subFiltersEqual(a, b session.SubscribeOptions) bool {
 }
 
 // SubscribeFiltered is Subscribe narrowed by opts (see
-// session.SubscribeOptions for the match rules). Against a v5 server
-// the filter is pushed onto the wire, so excluded events never leave
-// the shard — the bandwidth win is the point of filtering. Against an
-// older server (or when subscribers with different filters share the
-// connection, which widens the wire subscription) the same filter is
-// applied client-side instead: delivery semantics are identical either
-// way, only the transport cost differs.
+// session.SubscribeOptions for the match rules). The filter is pushed
+// onto the wire, so excluded events never leave the shard — the
+// bandwidth win is the point of filtering. When subscribers with
+// different filters share the connection, the wire subscription widens
+// and the same filter is applied client-side instead: delivery
+// semantics are identical either way, only the transport cost differs.
 func (c *Client) SubscribeFiltered(ctx context.Context, opts session.SubscribeOptions) (<-chan Event, session.CancelFunc) {
 	ch, cancel := c.events.SubscribeFiltered(ctx, c.cfg.EventBuffer, opts)
 	c.mu.Lock()
@@ -925,9 +816,8 @@ func (c *Client) SubscribeFiltered(ctx context.Context, opts session.SubscribeOp
 	case !c.subFilter.IsZero() && !subFiltersEqual(c.subFilter, opts):
 		// A second consumer wants events the armed filter excludes:
 		// widen the wire subscription to unfiltered and let each
-		// consumer's hub filter narrow delivery locally. (A v5 server
-		// replaces the subscription on re-subscribe; older servers
-		// ignore the repeat, but their wire was never filtered.)
+		// consumer's hub filter narrow delivery locally. (The server
+		// replaces the subscription on re-subscribe.)
 		c.subFilter = session.SubscribeOptions{}
 		if c.conn != nil {
 			_ = c.writeFrameLocked(opSubscribe, nil)
@@ -941,68 +831,11 @@ func (c *Client) SubscribeFiltered(ctx context.Context, opts session.SubscribeOp
 // client.
 type Event = session.Event
 
-// requireV3 ensures a live connection and that it negotiated at least
-// protocol v3, which the durability calls (Export/Restore) need.
-func (c *Client) requireV3(op string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClientClosed
-	}
-	if err := c.ensureConnLocked(); err != nil {
-		return err
-	}
-	if c.negotiated < 3 {
-		return fmt.Errorf("%w: %s needs protocol v3, server at %s negotiated v%d",
-			ErrVersionMismatch, op, c.cfg.Addr, c.negotiated)
-	}
-	return nil
-}
-
-// requireV4 ensures a live connection and that it negotiated at least
-// protocol v4, which the cluster membership calls need.
-func (c *Client) requireV4(op string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClientClosed
-	}
-	if err := c.ensureConnLocked(); err != nil {
-		return err
-	}
-	if c.negotiated < 4 {
-		return fmt.Errorf("%w: %s needs protocol v4, server at %s negotiated v%d",
-			ErrVersionMismatch, op, c.cfg.Addr, c.negotiated)
-	}
-	return nil
-}
-
-// requireV5 ensures a live connection and that it negotiated at least
-// protocol v5, which the telemetry call needs.
-func (c *Client) requireV5(op string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClientClosed
-	}
-	if err := c.ensureConnLocked(); err != nil {
-		return err
-	}
-	if c.negotiated < 5 {
-		return fmt.Errorf("%w: %s needs protocol v5, server at %s negotiated v%d",
-			ErrVersionMismatch, op, c.cfg.Addr, c.negotiated)
-	}
-	return nil
-}
-
 // Telemetry snapshots the remote shard's telemetry registry: every
 // counter, gauge, and histogram the server's layers registered, with
 // histogram buckets intact so snapshots from multiple shards merge
-// into cluster-wide quantiles. Requires the negotiated v5 protocol.
+// into cluster-wide quantiles.
 func (c *Client) Telemetry(ctx context.Context) (telemetry.Snapshot, error) {
-	if err := c.requireV5("Telemetry"); err != nil {
-		return telemetry.Snapshot{}, err
-	}
 	payload, err := c.call(ctx, opTelemetry, nil, false)
 	if err != nil {
 		return telemetry.Snapshot{}, err
@@ -1019,15 +852,11 @@ func (c *Client) Telemetry(ctx context.Context) (telemetry.Snapshot, error) {
 }
 
 // SetMembership pushes a cluster membership epoch to the server, which
-// stores it and broadcasts an EventMembership to every subscribed v4
+// stores it and broadcasts an EventMembership to every subscribed
 // client (including this one, if subscribed). Stale epochs are
-// rejected with session.ErrStaleEpoch. Requires the negotiated v4
-// protocol.
+// rejected with session.ErrStaleEpoch.
 func (c *Client) SetMembership(ctx context.Context, m session.Membership) error {
 	if err := m.Validate(); err != nil {
-		return err
-	}
-	if err := c.requireV4("SetMembership"); err != nil {
 		return err
 	}
 	var e enc
@@ -1069,11 +898,7 @@ func (c *Client) Detach() error {
 
 // Export removes the EPC's session from the remote shard and returns
 // its serialized mid-stroke state (see session.Manager.Export).
-// Requires the negotiated v3 protocol.
 func (c *Client) Export(ctx context.Context, epc string) ([]byte, error) {
-	if err := c.requireV3("Export"); err != nil {
-		return nil, err
-	}
 	var e enc
 	if err := e.str(epc); err != nil {
 		return nil, err
@@ -1094,12 +919,8 @@ func (c *Client) Export(ctx context.Context, epc string) ([]byte, error) {
 }
 
 // Restore rebuilds the EPC's session on the remote shard from an
-// exported snapshot (see session.Manager.Restore). Requires the
-// negotiated v3 protocol.
+// exported snapshot (see session.Manager.Restore).
 func (c *Client) Restore(ctx context.Context, epc string, state []byte) error {
-	if err := c.requireV3("Restore"); err != nil {
-		return err
-	}
 	var e enc
 	if err := e.str(epc); err != nil {
 		return err
@@ -1218,7 +1039,7 @@ func (c *Client) Close(ctx context.Context) (map[string]*core.Result, error) {
 
 	c.mu.Lock()
 	c.teardownLocked(c.gen, ErrClientClosed)
-	if callErr != nil && c.negotiated >= 3 {
+	if callErr != nil {
 		// The close never reached the server: whatever was still
 		// buffered or unacknowledged will not be resent by anyone.
 		c.lost.Add(uint64(len(c.sent) + len(c.pending)))

@@ -16,15 +16,15 @@
 // bit-identically); strings are uint16 length + bytes.
 //
 // Every connection begins with a version handshake: the client's first
-// frame is opHello carrying its protocol version (and, since v3, a
-// stable client identity), answered by an opResp carrying the version
-// the server negotiated — the highest generation both ends speak, as
-// long as it is at least protoVersionMin. A v3 client against a v2
-// server (or vice versa) therefore degrades to the v2 wire dialect
-// instead of failing; only a peer below the floor (or one that
-// predates the handshake entirely, signalled by a hangup) gets
-// ErrVersionMismatch. Rolling-upgrade skew surfaces as one explicit
-// error or a clean downgrade, never as frame corruption.
+// frame is opHello carrying the protocol version, a stable client
+// identity, and the client's default decode OpenOptions, answered by an
+// opResp echoing the version. There is exactly one dialect: a server
+// answers a hello naming any other version (or one it cannot parse, or
+// a first frame that is not a hello) with ErrVersionMismatch and drops
+// the connection, and a client refuses a reply naming any other
+// version. Client and server build from one module, so a mismatch
+// means a misdeployed binary and surfaces as that one explicit error,
+// never as frame corruption.
 //
 // After the handshake, request frames flow client→server; the server
 // answers each request frame that expects a reply with exactly one
@@ -37,22 +37,21 @@
 // subscribed connections) and may interleave with responses; the
 // opcode's high bits distinguish the two.
 //
-// # Durable dispatch (v3)
+// # Durable dispatch
 //
-// Under the v3 dialect samples are dispatched with opDispatchSeq: each
-// sample carries an implicit per-client sequence number (the frame
-// holds the first sample's number; the rest are consecutive), and the
-// server pushes opAck frames reporting the highest sequence it has
-// settled plus a cumulative count of samples its manager rejected. The
-// client keeps every unacknowledged sample buffered and resends the
-// tail after a reconnect; the server's per-client applied-sequence
-// state makes the resend idempotent (duplicates are skipped, not
-// decoded twice). A sample is counted lost only when the server
-// rejects it or the resend buffer ages it out — never because a
-// connection happened to drop. opExport and opRestore carry serialized
-// mid-stroke session state for checkpoint/handoff flows, and opEvent
-// gained the EventCheckpoint kind so shard-emitted snapshots reach a
-// journaling router.
+// Samples are dispatched with opDispatchSeq: each sample carries an
+// implicit per-client sequence number (the frame holds the first
+// sample's number; the rest are consecutive), and the server pushes
+// opAck frames reporting the highest sequence it has settled plus a
+// cumulative count of samples its manager rejected. The client keeps
+// every unacknowledged sample buffered and resends the tail after a
+// reconnect; the server's per-client applied-sequence state makes the
+// resend idempotent (duplicates are skipped, not decoded twice). A
+// sample is counted lost only when the server rejects it or the resend
+// buffer ages it out — never because a connection happened to drop.
+// opExport and opRestore carry serialized mid-stroke session state for
+// checkpoint/handoff flows, and EventCheckpoint pushes carry
+// shard-emitted snapshots to a journaling router.
 //
 // Response payloads start with a status byte; failures carry a code
 // that round-trips the session/core sentinel taxonomy, so
@@ -82,29 +81,14 @@ func timeFromUnixNano(ns int64) time.Time { return time.Unix(0, ns) }
 // frame (a Close response for thousands of sessions).
 const maxFrame = 64 << 20
 
-// protoVersion is the wire protocol generation, exchanged in the
-// opHello handshake; protoVersionMin is the oldest dialect either end
-// still speaks, so mixed-version deployments negotiate down instead of
-// failing. Bump protoVersion whenever a frame layout changes
-// incompatibly. History: 1 = PR 3/4 unversioned protocol (no
-// handshake); 2 = version handshake + per-session OpenOptions (opOpen)
-// + unified event pushes (opEvent) + extended error taxonomy; 3 =
-// client identity in the hello, sequence-numbered dispatch with acks
-// (opDispatchSeq/opAck), session state transfer (opExport/opRestore),
-// and the EventCheckpoint push; 4 = cluster membership distribution
-// (opMembership, the EventMembership push, and the overload/
-// stale-epoch error codes); 5 = telemetry snapshots (opTelemetry),
-// per-subscription event filters (an optional opSubscribe payload),
-// and client decode defaults pushed in the hello.
-const (
-	protoVersion    = 5
-	protoVersionMin = 2
-)
+// protoVersion is the wire protocol version exchanged in the opHello
+// handshake. Both ends must name the same one; bump it whenever a frame
+// layout changes.
+const protoVersion = 5
 
 // Opcodes. Requests occupy the low range; 0x40 marks server pushes,
 // 0x80 marks responses.
 const (
-	opDispatch  byte = 0x01 // one-way: batch of samples
 	opFinalize  byte = 0x02
 	opStats     byte = 0x03
 	opEvictIdle byte = 0x04
@@ -115,16 +99,11 @@ const (
 	opHello     byte = 0x09 // version handshake; MUST be the first frame
 	opOpen      byte = 0x0a // per-session open with OpenOptions
 
-	// v3 opcodes.
 	opDispatchSeq byte = 0x0b // one-way: sequence-numbered sample batch
 	opExport      byte = 0x0c // remove a session, return its snapshot
 	opRestore     byte = 0x0d // rebuild a session from a snapshot
-
-	// v4 opcodes.
-	opMembership byte = 0x0e // set the epoch-numbered cluster membership
-
-	// v5 opcodes.
-	opTelemetry byte = 0x0f // snapshot the shard's telemetry registry
+	opMembership  byte = 0x0e // set the epoch-numbered cluster membership
+	opTelemetry   byte = 0x0f // snapshot the shard's telemetry registry
 
 	opEvent byte = 0x41 // server push: one unified session.Event
 	opAck   byte = 0x42 // server push: dispatch-sequence acknowledgement
@@ -153,9 +132,9 @@ const (
 var ErrShardClosing = errors.New("shardrpc: shard manager closed")
 
 // ErrVersionMismatch is returned when the connect-time version
-// handshake fails: the two ends speak different shardrpc protocol
-// generations (or the peer predates the handshake entirely). The
-// wrapped message names both versions when they are known.
+// handshake fails: the peer names a different shardrpc protocol
+// version or sends a hello that does not parse. The wrapped message
+// names both versions when they are known.
 var ErrVersionMismatch = errors.New("shardrpc: protocol version mismatch")
 
 // writeFrame writes one frame. The caller is responsible for
@@ -630,7 +609,7 @@ func decodeOpenOptions(d *dec) session.OpenOptions {
 
 // Membership wire form: epoch u64, member count u16, then per member
 // name, addr, and state byte. Used by opMembership requests and the
-// EventMembership push (both v4).
+// EventMembership push.
 func encodeMembership(e *enc, m session.Membership) error {
 	e.u64(m.Epoch)
 	if len(m.Members) > 0xffff {
@@ -672,11 +651,10 @@ func decodeMembership(d *dec) session.Membership {
 	return m
 }
 
-// SubscribeOptions wire form (v5, the optional opSubscribe payload):
-// kind count u16 + one byte per kind, then EPC count u16 + one string
-// per EPC. An empty opSubscribe payload means unfiltered, which is
-// also the only form older dialects emit — so a v5 server treats "no
-// payload" and "zero options" identically.
+// SubscribeOptions wire form (the optional opSubscribe payload): kind
+// count u16 + one byte per kind, then EPC count u16 + one string per
+// EPC. An empty opSubscribe payload means unfiltered, the same as zero
+// options.
 func encodeSubscribeOptions(e *enc, o session.SubscribeOptions) error {
 	if len(o.Kinds) > 0xffff || len(o.EPCs) > 0xffff {
 		return fmt.Errorf("shardrpc: subscribe filter too large (%d kinds, %d epcs)", len(o.Kinds), len(o.EPCs))
@@ -725,7 +703,7 @@ func decodeSubscribeOptions(d *dec) session.SubscribeOptions {
 	return o
 }
 
-// Telemetry snapshot wire form (v5 opTelemetry responses): counter
+// Telemetry snapshot wire form (opTelemetry responses): counter
 // count u32 + (name, i64) pairs; gauge count u32 + (name, f64) pairs;
 // histogram count u32 + per histogram name, observation count u64,
 // sum f64, and a sparse bucket list (u16 count of non-empty buckets,

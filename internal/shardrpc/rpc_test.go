@@ -140,7 +140,7 @@ func TestRemoteLocalEquivalence(t *testing.T) {
 	}
 
 	// Finalizing an unknown EPC round-trips the sentinel.
-	if _, err := client.Finalize(ctx, "no-such-pen"); !errors.Is(err, session.ErrUnknownSession) {
+	if _, err := client.Finalize(ctx, "no-such-pen"); !errors.Is(err, session.ErrUnknownEPC) {
 		t.Fatalf("unknown-session error did not round-trip: %v", err)
 	}
 
@@ -228,17 +228,17 @@ func TestRouterOverRemoteShards(t *testing.T) {
 	}
 }
 
-// pointEvt is one observed OnPoint invocation.
+// pointEvt is one observed EventPoint payload.
 type pointEvt struct {
 	w    core.Window
 	live geom.Vec2
 }
 
-// TestRemoteEvents checks the OnPoint subscription: window-close
-// events stream back to the client with the same EPC/window/live
-// payload the server-side callback observes, in the same per-EPC
-// order. Events racing the Close response may be cut off, so the
-// remote view must be a per-EPC prefix of the server-side one.
+// TestRemoteEvents checks the Point stream over the wire: a client
+// subscription receives the same EPC/window/live payloads a
+// server-side subscription observes, in the same per-EPC order.
+// Events racing the Close response may be cut off, so the remote view
+// must be a per-EPC prefix of the server-side one.
 func TestRemoteEvents(t *testing.T) {
 	const pens = 2
 	samples, ants := penStreams(t, pens, 41)
@@ -246,25 +246,32 @@ func TestRemoteEvents(t *testing.T) {
 	var mu sync.Mutex
 	remote := map[string][]pointEvt{}
 	srvSide := map[string][]pointEvt{}
+	record := func(ch <-chan Event, into map[string][]pointEvt) <-chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for ev := range ch {
+				mu.Lock()
+				into[ev.EPC] = append(into[ev.EPC], pointEvt{ev.Window, ev.Live})
+				mu.Unlock()
+			}
+		}()
+		return done
+	}
+	points := session.SubscribeOptions{Kinds: []session.EventKind{session.EventPoint}}
 
 	cfg := sessionCfg(ants, 0.25, 0)
-	cfg.OnPoint = func(epc string, w core.Window, live geom.Vec2) {
-		mu.Lock()
-		srvSide[epc] = append(srvSide[epc], pointEvt{w, live})
-		mu.Unlock()
-	}
+	// The server-side view is the reference, so it must not shed.
+	cfg.EventBuffer = 1 << 16
 	srv, addr := startServer(t, ServerConfig{Session: cfg})
-	client, err := Dial(ClientConfig{
-		Addr: addr,
-		OnPoint: func(epc string, w core.Window, live geom.Vec2) {
-			mu.Lock()
-			remote[epc] = append(remote[epc], pointEvt{w, live})
-			mu.Unlock()
-		},
-	})
+	srvCh, srvCancel := srv.Manager().SubscribeFiltered(ctx, points)
+	srvDone := record(srvCh, srvSide)
+	client, err := Dial(ClientConfig{Addr: addr})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cliCh, _ := client.SubscribeFiltered(ctx, points)
+	cliDone := record(cliCh, remote)
 
 	if err := client.DispatchBatch(ctx, samples); err != nil {
 		t.Fatal(err)
@@ -292,7 +299,11 @@ func TestRemoteEvents(t *testing.T) {
 	}
 
 	// After Close returns, both sides are quiescent: the client read
-	// loop is down and the server finalized every session.
+	// loop is down (ending its subscription) and the server finalized
+	// every session.
+	srvCancel()
+	<-srvDone
+	<-cliDone
 	mu.Lock()
 	defer mu.Unlock()
 	if srv.EventsDropped() > 0 {

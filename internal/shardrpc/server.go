@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"polardraw/internal/session"
@@ -15,9 +14,8 @@ import (
 
 // ServerConfig parameterizes a shard server.
 type ServerConfig struct {
-	// Session configures the hosted Manager. Its OnPoint callback, if
-	// set, still fires server-side (the legacy adapter); subscribed
-	// connections receive the unified event stream regardless.
+	// Session configures the hosted Manager; subscribed connections
+	// receive its unified event stream.
 	Session session.Config
 	// EventBuffer bounds each subscribed connection's outgoing event
 	// queue (default session.DefaultEventBuffer). When a slow client
@@ -58,11 +56,10 @@ func newSrvTelemetry(r *telemetry.Registry) srvTelemetry {
 // session queue stalls the connection's read loop, pushing back
 // through TCP to the dispatching client.
 //
-// Every connection must open with the opHello version handshake; the
-// server negotiates down to the client's generation when it can
-// (protoVersionMin is the floor) and fails the connection with an
-// explicit ErrVersionMismatch otherwise, instead of risking frame
-// misparses between mixed-version binaries.
+// Every connection must open with the opHello version handshake; a
+// hello naming another protocol version, or one that does not parse,
+// fails the connection with an explicit ErrVersionMismatch instead of
+// risking frame misparses between mismatched binaries.
 type Server struct {
 	cfg ServerConfig
 	m   *session.Manager
@@ -72,13 +69,13 @@ type Server struct {
 	ln     net.Listener
 	conns  map[*srvConn]struct{}
 	closed bool
-	// seqs holds per-client-identity dispatch sequence state (v3 acked
+	// seqs holds per-client-identity dispatch sequence state (acked
 	// dispatch). Keyed by the hello's client ID so it survives
 	// reconnects: the resend after a reconnect dedups against the same
 	// applied watermark the broken connection advanced.
 	seqs map[string]*clientSeq
 	// mship is the latest cluster membership epoch pushed through this
-	// server (v4). Kept so late subscribers catch up on attach.
+	// server. Kept so late subscribers catch up on attach.
 	mship *session.Membership
 }
 
@@ -134,9 +131,8 @@ func (s *Server) Manager() *session.Manager { return s.m }
 func (s *Server) EventsDropped() uint64 { return s.m.EventsDropped() }
 
 // SetMembership stores a cluster membership epoch and broadcasts it
-// as an EventMembership to every subscribed v4 connection (v3 peers
-// never see the push — their protocol has no frame for it). Epochs
-// must be monotonically increasing; a stale one is rejected with
+// as an EventMembership to every subscribed connection. Epochs must be
+// monotonically increasing; a stale one is rejected with
 // session.ErrStaleEpoch and nothing is broadcast. Typically invoked
 // via a client's SetMembership, but safe to call in-process too.
 func (s *Server) SetMembership(m session.Membership) error {
@@ -261,18 +257,12 @@ type srvConn struct {
 	s *Server
 	c net.Conn
 
-	// proto is the protocol generation agreed in the handshake; seq the
-	// dispatch watermark for the client's identity (v3 only). Both are
-	// set once by the handshake before any other frame is processed;
-	// proto is atomic because membership broadcasts read it from
-	// outside the connection's read loop.
-	proto atomic.Int32
-	seq   *clientSeq
-
-	// defaults holds the client's connect-time decode defaults (v5
-	// hellos carry them), applied to sessions this connection opens
-	// implicitly by dispatching an unseen EPC. Set once by the
-	// handshake, read only by the read loop.
+	// seq is the dispatch watermark for the client's identity, and
+	// defaults the client's connect-time decode defaults, applied to
+	// sessions this connection opens implicitly by dispatching an
+	// unseen EPC. Both are set once by the handshake and read only by
+	// the read loop.
+	seq      *clientSeq
 	defaults session.OpenOptions
 
 	// wmu serializes frame writes: responses from the request loop and
@@ -305,10 +295,6 @@ func (sc *srvConn) subWantsKind(k session.EventKind) bool {
 	return false
 }
 
-// protoVer returns the handshake-negotiated protocol generation (0
-// before the handshake completes).
-func (sc *srvConn) protoVer() byte { return byte(sc.proto.Load()) }
-
 func (s *Server) handle(c net.Conn) {
 	sc := &srvConn{
 		s:  s,
@@ -334,7 +320,7 @@ func (s *Server) handle(c net.Conn) {
 }
 
 // subscribe attaches the connection to the manager's unified event
-// stream — narrowed by opts when the client negotiated a filter — and
+// stream — narrowed by opts when the client sent a filter — and
 // starts the pump that frames events onto the wire. A repeat
 // opSubscribe replaces the previous subscription, so a client can
 // re-arm with a different filter on the same connection.
@@ -362,12 +348,9 @@ func (sc *srvConn) subscribe(opts session.SubscribeOptions) {
 }
 
 // pushMembership frames one membership event onto the wire if the
-// connection negotiated v4 and is subscribed. Write errors are
-// swallowed — a broken connection is the read loop's problem.
+// connection is subscribed. Write errors are swallowed — a broken
+// connection is the read loop's problem.
 func (sc *srvConn) pushMembership(ev session.Event) {
-	if sc.protoVer() < 4 {
-		return
-	}
 	sc.subMu.Lock()
 	subscribed := sc.subCancel != nil
 	sc.subMu.Unlock()
@@ -415,62 +398,38 @@ func (sc *srvConn) respondErr(err error) error {
 
 // handshake enforces the version exchange on a connection's first
 // frame. It reports whether the connection may proceed; on any
-// mismatch it answers with the explicit version error (so a
-// protocol-aware peer can surface it) and the caller drops the
-// connection.
+// mismatch — not a hello, another version, or an unparseable hello —
+// it answers with the explicit version error (so the peer can surface
+// it) and the caller drops the connection.
 func (sc *srvConn) handshake(op byte, d *dec) bool {
-	if op != opHello {
-		_ = sc.respondErr(fmt.Errorf("%w: expected version handshake, got opcode 0x%02x "+
-			"(client speaks pre-versioning shardrpc?); server speaks v%d",
-			ErrVersionMismatch, op, protoVersion))
+	refuse := func(reason string) bool {
+		_ = sc.respondErr(fmt.Errorf("%w: %s; server speaks v%d", ErrVersionMismatch, reason, protoVersion))
 		return false
+	}
+	if op != opHello {
+		return refuse(fmt.Sprintf("expected version handshake, got opcode 0x%02x", op))
 	}
 	v := d.u8()
 	if d.err != nil {
-		return false
+		return refuse("empty hello")
 	}
-	if v < protoVersionMin {
-		_ = sc.respondErr(fmt.Errorf("%w: client speaks v%d, server speaks v%d (min v%d)",
-			ErrVersionMismatch, v, protoVersion, protoVersionMin))
-		return false
+	if v != protoVersion {
+		return refuse(fmt.Sprintf("client speaks v%d", v))
 	}
-	negotiated := min(v, protoVersion)
-	var clientID string
-	if v >= 3 {
-		// From v3 on the hello carries a stable client identity, keying
-		// the dispatch watermark across reconnects. A hello claiming
-		// v3+ without one is a dialect we cannot parse — answer with
-		// the explicit mismatch instead of a silent hangup.
-		clientID = d.str()
-		if d.err != nil {
-			_ = sc.respondErr(fmt.Errorf("%w: client hello claims v%d but is not parseable "+
-				"as v3; server speaks v%d", ErrVersionMismatch, v, protoVersion))
-			return false
-		}
+	clientID := d.str()
+	sc.defaults = decodeOpenOptions(d)
+	if d.err != nil {
+		return refuse("client hello does not parse")
 	}
-	if v >= 5 {
-		// From v5 on the hello also carries the client's default decode
-		// OpenOptions, applied to sessions opened implicitly by this
-		// connection's dispatches.
-		sc.defaults = decodeOpenOptions(d)
-		if d.err != nil {
-			_ = sc.respondErr(fmt.Errorf("%w: client hello claims v%d but is not parseable "+
-				"as v5; server speaks v%d", ErrVersionMismatch, v, protoVersion))
-			return false
-		}
+	if clientID == "" {
+		// Defensive: an identity-less peer still dedups within its own
+		// connection, just not across reconnects.
+		clientID = fmt.Sprintf("conn:%p", sc)
 	}
-	sc.proto.Store(int32(negotiated))
-	if negotiated >= 3 {
-		if clientID == "" {
-			// Defensive: an identity-less v3 peer still dedups within
-			// itself, just not across connections.
-			clientID = fmt.Sprintf("conn:%p", sc)
-		}
-		sc.seq = sc.s.seqFor(clientID)
-	}
+	sc.seq = sc.s.seqFor(clientID)
 	var e enc
 	e.u8(statusOK)
-	e.u8(negotiated)
+	e.u8(protoVersion)
 	return sc.write(opResp, e.b) == nil
 }
 
@@ -495,22 +454,11 @@ func (sc *srvConn) readLoop() {
 			continue
 		}
 		switch op {
-		case opDispatch:
-			batch := decodeSamples(&d)
-			if d.err != nil {
-				return
-			}
-			sc.s.tel.batch.Observe(float64(len(batch)))
-			// One-way: an ErrClosed after opClose is deliberately
-			// silent — the client learned the terminal state from its
-			// own Close response.
-			_ = m.DispatchBatchWith(batch, sc.defaults)
-
 		case opDispatchSeq:
 			firstSeq := d.u64()
 			batch := decodeSamples(&d)
-			if d.err != nil || sc.seq == nil {
-				return // malformed, or seq dispatch on a v2 handshake
+			if d.err != nil {
+				return
 			}
 			sc.s.tel.batch.Observe(float64(len(batch)))
 			cs := sc.seq
@@ -537,9 +485,7 @@ func (sc *srvConn) readLoop() {
 		case opSubscribe:
 			var opts session.SubscribeOptions
 			if d.remaining() > 0 {
-				// v5 clients may append an encoded filter; an empty
-				// payload (the only form older dialects emit) means
-				// unfiltered.
+				// An empty payload means unfiltered.
 				opts = decodeSubscribeOptions(&d)
 				if d.err != nil {
 					return
@@ -553,7 +499,7 @@ func (sc *srvConn) readLoop() {
 					epcAllow[epc] = true
 				}
 			}
-			if sc.protoVer() >= 3 && sc.subWantsKind(session.EventCommit) {
+			if sc.subWantsKind(session.EventCommit) {
 				// Replay each live session's committed prefix so a
 				// subscriber that reconnected mid-stroke has no gap:
 				// commits that fired during the outage are re-delivered
@@ -580,16 +526,14 @@ func (sc *srvConn) readLoop() {
 					}
 				}
 			}
-			if sc.protoVer() >= 4 {
-				// Late subscribers catch up on the current membership
-				// epoch the same way they catch up on committed
-				// prefixes: routers dedup by epoch, so a re-delivery
-				// after a reconnect is idempotent.
-				if m, ok := sc.s.Membership(); ok {
-					sc.pushMembership(session.Event{
-						Kind: session.EventMembership, Epoch: m.Epoch, Members: m.Members,
-					})
-				}
+			// Late subscribers catch up on the current membership epoch
+			// the same way they catch up on committed prefixes: routers
+			// dedup by epoch, so a re-delivery after a reconnect is
+			// idempotent.
+			if m, ok := sc.s.Membership(); ok {
+				sc.pushMembership(session.Event{
+					Kind: session.EventMembership, Epoch: m.Epoch, Members: m.Members,
+				})
 			}
 
 		case opMembership:
@@ -598,10 +542,7 @@ func (sc *srvConn) readLoop() {
 				return
 			}
 			var e enc
-			if sc.protoVer() < 4 {
-				encodeError(&e, fmt.Errorf("%w: opMembership needs protocol v4, negotiated v%d",
-					ErrVersionMismatch, sc.protoVer()))
-			} else if err := sc.s.SetMembership(mship); err != nil {
+			if err := sc.s.SetMembership(mship); err != nil {
 				encodeError(&e, err)
 			} else {
 				e.u8(statusOK)
@@ -707,15 +648,10 @@ func (sc *srvConn) readLoop() {
 
 		case opTelemetry:
 			var e enc
-			if sc.protoVer() < 5 {
-				encodeError(&e, fmt.Errorf("%w: opTelemetry needs protocol v5, negotiated v%d",
-					ErrVersionMismatch, sc.protoVer()))
-			} else {
-				e.u8(statusOK)
-				if err := encodeTelemetry(&e, sc.s.cfg.Telemetry.Snapshot()); err != nil {
-					e = enc{}
-					encodeError(&e, err)
-				}
+			e.u8(statusOK)
+			if err := encodeTelemetry(&e, sc.s.cfg.Telemetry.Snapshot()); err != nil {
+				e = enc{}
+				encodeError(&e, err)
 			}
 			if sc.write(opResp, e.b) != nil {
 				return

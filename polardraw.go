@@ -35,8 +35,7 @@
 // Consumption is one unified [Event] stream ([Client.Subscribe]):
 // window closes, live points, smoother commits, evictions, and backend
 // health transitions, delivered identically across local, RPC, and
-// routed backends. The per-callback hooks this stream replaces remain
-// available on the internal packages as deprecated adapters.
+// routed backends.
 package polardraw
 
 import (
@@ -155,8 +154,8 @@ var (
 	ErrBackendUnavailable = session.ErrBackendUnavailable
 	// ErrTooFewSamples: the session's stream was too short to decode.
 	ErrTooFewSamples = core.ErrTooFewSamples
-	// ErrVersionMismatch: a shardrpc connect found mixed protocol
-	// generations between client and server.
+	// ErrVersionMismatch: a shardrpc connect found a server speaking
+	// another protocol version.
 	ErrVersionMismatch = shardrpc.ErrVersionMismatch
 	// ErrOverloaded: the admission controller (WithAdmission) shed the
 	// dispatch; the sample was refused before the journal saw it.

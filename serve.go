@@ -49,7 +49,7 @@ func NewShardServer(opts ...Option) *ShardServer {
 
 // Telemetry exposes the shard's metric registry: every decode,
 // session, and wire metric the shard records, snapshot by clients via
-// the v5 telemetry RPC and exposable as Prometheus text with
+// the telemetry RPC and exposable as Prometheus text with
 // ServeMetrics.
 func (s *ShardServer) Telemetry() *TelemetryRegistry { return s.tel }
 
