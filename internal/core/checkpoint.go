@@ -322,9 +322,9 @@ func (v *viterbiState) snapshot(w *ckWriter) {
 		w.i32(c)
 	}
 	w.u32(uint32(len(v.active)))
-	for _, i := range v.active {
+	for j, i := range v.active {
 		w.u32(uint32(i))
-		w.f64(v.prev[i])
+		w.f64(v.score[j])
 	}
 	w.u32(uint32(len(v.back)))
 	for j, rec := range v.back {
@@ -556,10 +556,10 @@ func (s *StreamTracker) checkDecoder() error {
 }
 
 // restoreViterbi rebuilds the beam directly (not via seedViterbi,
-// which would re-seed and re-prune): prev holds the serialized values
-// at the active cells and -Inf elsewhere, cur is all -Inf with an
-// empty stale list, and every other scratch buffer is left for lazy
-// sizing — none of it affects decode values. Every invariant step,
+// which would re-seed and re-prune): the active cells with their
+// serialized scores, and the beam records, each sized to what the
+// payload holds. Nothing grid-sized is allocated; the decode steps
+// borrow their scratch from the grid. Every invariant step,
 // path and the commit walks index by is checked here, so a corrupt
 // snapshot fails with ErrBadSnapshot instead of a later panic.
 func restoreViterbi(g *grid, cfg Config, r *ckReader) (*viterbiState, error) {
@@ -608,14 +608,6 @@ func restoreViterbi(g *grid, cfg Config, r *ckReader) (*viterbiState, error) {
 		}
 	}
 
-	v.prev = make([]float64, n)
-	v.cur = make([]float64, n)
-	v.arg = make([]int32, n)
-	negInf := math.Inf(-1)
-	for i := range v.prev {
-		v.prev[i] = negInf
-		v.cur[i] = negInf
-	}
 	na := r.count(12)
 	if r.err != nil {
 		return nil, r.err
@@ -624,7 +616,8 @@ func restoreViterbi(g *grid, cfg Config, r *ckReader) (*viterbiState, error) {
 		return nil, fmt.Errorf("%w: empty beam", ErrBadSnapshot)
 	}
 	v.active = make([]int, 0, na)
-	best := negInf
+	v.score = make([]float64, 0, na)
+	best := math.Inf(-1)
 	for i := 0; i < na; i++ {
 		idx := int(r.u32())
 		val := r.f64()
@@ -638,7 +631,7 @@ func restoreViterbi(g *grid, cfg Config, r *ckReader) (*viterbiState, error) {
 			return nil, fmt.Errorf("%w: active score %v", ErrBadSnapshot, val)
 		}
 		v.active = append(v.active, idx)
-		v.prev[idx] = val
+		v.score = append(v.score, val)
 		best = max(best, val)
 	}
 	if v.maxPrev != best {
@@ -664,27 +657,34 @@ func restoreViterbi(g *grid, cfg Config, r *ckReader) (*viterbiState, error) {
 			return nil, fmt.Errorf("%w: beam record of %d states", ErrBadSnapshot, m)
 		}
 		// Exact-size records: a restore allocates what the payload
-		// holds, never the count bound per record.
-		rec := makeRecord(m)
+		// holds, never the count bound per record, and the oldest
+		// record (no predecessors stored) gets no pred half.
+		var rec beamRecord
+		if j == 0 {
+			rec.cells = make([]int32, 0, m)
+		} else {
+			rec = makeRecord(m)
+		}
+		// Each half is read in one take: a record is the bulk of a
+		// snapshot, and per-element reads dominated the restore.
+		raw := r.take(4 * m)
+		if raw == nil {
+			return nil, r.err
+		}
 		for k := 0; k < m; k++ {
-			c := r.i32()
-			if r.err != nil {
-				return nil, r.err
-			}
+			c := int32(binary.BigEndian.Uint32(raw[4*k:]))
 			if c < 0 || int(c) >= n || (k > 0 && c <= rec.cells[k-1]) {
 				return nil, fmt.Errorf("%w: record cell %d out of grid or order", ErrBadSnapshot, c)
 			}
 			rec.cells = append(rec.cells, c)
 		}
-		if j == 0 {
-			rec.pred = rec.pred[:m]
-		} else {
+		if j > 0 {
 			np := int32(len(v.back[j-1].cells))
+			if raw = r.take(4 * m); raw == nil {
+				return nil, r.err
+			}
 			for k := 0; k < m; k++ {
-				p := r.i32()
-				if r.err != nil {
-					return nil, r.err
-				}
+				p := int32(binary.BigEndian.Uint32(raw[4*k:]))
 				if p < 0 || p >= np {
 					return nil, fmt.Errorf("%w: predecessor %d outside a record of %d", ErrBadSnapshot, p, np)
 				}

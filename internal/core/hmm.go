@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"polardraw/internal/geom"
 )
@@ -29,6 +30,9 @@ type grid struct {
 	// per-step trig/score work amortizes across the whole serving tier
 	// instead of being rebuilt per step per session.
 	stencils stencilCache
+	// scratchPool holds idle *stepScratch, the grid-sized working set
+	// each decode step borrows (see stepScratch).
+	scratchPool sync.Pool
 }
 
 func newGrid(cfg Config) *grid {
@@ -296,9 +300,58 @@ const beamWidth = 12.0
 // active list at that time), and pred[j] is the index of cells[j]'s
 // argmax predecessor in the previous time's record. Storing indices
 // makes every backtrack step an O(1) lookup, and storage scales with
-// the beam instead of the grid.
+// the beam instead of the grid. Time 0 has no predecessor, so its
+// record holds cells only.
 type beamRecord struct {
 	cells, pred []int32
+}
+
+// stepScratch is the grid-sized working set of one decode step (and of
+// one merge walk). It carries nothing from one use to the next — cur is
+// all -Inf and mask all zero whenever it is idle, arg is read only
+// where cur is finite, and the lists restart empty — so every decoder
+// on a grid shares the grid's pool of them, and grid-sized memory
+// scales with the decodes running at once instead of with open pens.
+type stepScratch struct {
+	// cur holds the scores of the step being built; arg[to] is the
+	// active-list index of the best predecessor found so far for cell
+	// to.
+	cur []float64
+	arg []int32
+	// mask is the prune bitmap for the ascending active rebuild;
+	// touched lists the cells of cur written this step.
+	mask    []uint64
+	touched []int32
+	// sel is the top-K quickselect scratch, ties the boundary-tie
+	// scratch.
+	sel  []float64
+	ties []int32
+	// stencil is the buildStencil reuse buffer (cache-off path).
+	stencil []stencilEntry
+	// Merge-walk marks (commitMerged), indexed by record position:
+	// setMark[b] == setGen marks b as already reached by this walk
+	// step.
+	setMark []uint32
+	setGen  uint32
+}
+
+// scratch takes a step scratch from the grid's pool (users put it back
+// idle). A step that panics never puts its scratch back, so the pool
+// only ever holds idle ones.
+func (g *grid) scratch() *stepScratch {
+	if sc, ok := g.scratchPool.Get().(*stepScratch); ok {
+		return sc
+	}
+	n := g.size()
+	sc := &stepScratch{
+		cur:  make([]float64, n),
+		arg:  make([]int32, n),
+		mask: make([]uint64, (n+63)/64),
+	}
+	for i := range sc.cur {
+		sc.cur[i] = math.Inf(-1)
+	}
+	return sc
 }
 
 // viterbiState is the forward-pass state of the beam-pruned Viterbi
@@ -310,9 +363,10 @@ type beamRecord struct {
 // the active beam through the annulus stencil — the Eq. 11 hyperbola
 // term, which depends only on the destination cell, is hoisted out of
 // the transition argmax and computed once per written cell instead of
-// over the whole grid — and scratch state is cleared through dirty
-// lists, so no per-step work scales with grid size once the beam
-// narrows.
+// over the whole grid. The state kept between steps is sized by the
+// beam: the active cells with their scores, the beam records and the
+// commit bookkeeping. The grid-sized working set of a step lives in a
+// stepScratch borrowed from the grid for that step only.
 //
 // With fixed-lag smoothing (advanceCommit) the decoder also commits
 // the trajectory prefix all surviving paths agree on, recycling the
@@ -322,35 +376,20 @@ type beamRecord struct {
 type viterbiState struct {
 	g   *grid
 	cfg Config
-	// prev holds the running log-probability per cell; cur is the
-	// scratch vector swapped in each step. Invariant: both are -Inf
-	// outside their dirty lists (active for prev, stale for cur).
-	prev, cur []float64
-	// active lists the states currently carrying probability mass in
-	// prev, ascending (the order fixes tie-breaks deterministically);
-	// stale lists the cells of cur still holding values from two steps
-	// ago, cleared lazily at the start of the next step.
-	active, stale []int
-	// maxPrev is the maximum of prev (the beam anchor).
+	// active lists the states currently carrying probability mass,
+	// ascending (the order fixes tie-breaks deterministically), and
+	// score[j] is active[j]'s running log-probability.
+	active []int
+	score  []float64
+	// maxPrev is the maximum of score (the beam anchor).
 	maxPrev float64
 	// steps counts the evidence transitions taken, so decoded states
 	// exist for times 0..steps.
 	steps int
 
-	stencil []stencilEntry // buildStencil reuse buffer (cache-off path)
-	touched []int32        // current-step dirty list (reused)
-	mask    []uint64       // prune bitmap for the ascending active rebuild
-	// arg is the transition argmax scratch: arg[to] is the active-list
-	// index of the best predecessor found so far for cell to. It is
-	// meaningful only where cur is finite, so it is never reset.
-	arg []int32
-
-	// Top-K selection state: kCur is the adaptive controller's current
-	// count bound (cfg.BeamTopK when the controller is off), selBuf the
-	// quickselect scratch, tieBuf the boundary-tie scratch.
-	kCur   int
-	selBuf []float64
-	tieBuf []int32
+	// kCur is the adaptive controller's current count bound
+	// (cfg.BeamTopK when the controller is off).
+	kCur int
 
 	// Decode telemetry (see DecodeStats).
 	activeSum                  uint64
@@ -376,51 +415,39 @@ type viterbiState struct {
 	committed []int32
 	forced    int
 
-	// Merge-detection scratch (advanceCommit), indexed by record
-	// position.
-	setMark    []uint32
-	setGen     uint32
+	// Merge-detection scratch (advanceCommit), sized by the beam.
 	setA, setB []int32
 	trailBuf   []int32
 }
 
-// seedViterbi seeds the decoder with an initial log-probability
-// vector, which it takes ownership of as its probability vector, and
-// applies the first beam prune.
+// seedViterbi seeds the decoder with an initial log-probability vector
+// over the grid (read, not retained) and applies the first beam prune.
 func (g *grid) seedViterbi(cfg Config, initLog []float64) *viterbiState {
-	n := g.size()
+	initLog = initLog[:g.size()]
 	v := &viterbiState{g: g, cfg: cfg, commitT: -1}
-	v.prev = initLog[:n:n]
-	v.cur = make([]float64, n)
-	for i := range v.cur {
-		v.cur[i] = math.Inf(-1)
-	}
-	v.arg = make([]int32, n)
 	v.maxPrev = math.Inf(-1)
-	for _, p := range v.prev {
+	for _, p := range initLog {
 		if p > v.maxPrev {
 			v.maxPrev = p
 		}
 	}
 	live := 0
-	for _, p := range v.prev {
+	for _, p := range initLog {
 		if p > v.maxPrev-beamWidth {
 			live++
 		}
 	}
 	v.active = make([]int, 0, live)
-	rec := v.newRecord(live)
-	for i, p := range v.prev {
+	v.score = make([]float64, 0, live)
+	cells := make([]int32, 0, live)
+	for i, p := range initLog {
 		if p > v.maxPrev-beamWidth {
 			v.active = append(v.active, i)
-			rec.cells = append(rec.cells, int32(i))
-		} else {
-			v.prev[i] = math.Inf(-1)
+			v.score = append(v.score, p)
+			cells = append(cells, int32(i))
 		}
 	}
-	// Time 0 has no predecessor; its pred entries are never read.
-	rec.pred = rec.pred[:live]
-	v.back = append(v.back, rec)
+	v.back = append(v.back, beamRecord{cells: cells})
 	return v
 }
 
@@ -431,11 +458,12 @@ func (g *grid) seedViterbi(cfg Config, initLog []float64) *viterbiState {
 const recordChunk = 16
 
 // newRecord returns an empty beam record with room for n states,
-// recycling a committed-past record when one fits. Under a count bound
-// a new record is carved from the slab with the bound's capacity, so
-// once recycled it fits every later step; a wider beam (the first
-// step, or no bound) gets an allocation of its own. Either way a record
-// costs at most one allocation, for both of its slices.
+// recycling a committed-past record when one fits (time 0's record,
+// which has no pred half, never does). Under a count bound a new record
+// is carved from the slab with the bound's capacity, so once recycled
+// it fits every later step; a wider beam (no bound) gets an allocation
+// of its own. Either way a record costs at most one allocation, for
+// both of its slices.
 func (v *viterbiState) newRecord(n int) beamRecord {
 	if k := len(v.pool); k > 0 {
 		rec := v.pool[k-1]
@@ -473,26 +501,14 @@ func (v *viterbiState) recordBound() int {
 // step advances the forward pass by one evidence transition.
 func (v *viterbiState) step(ev stepEvidence) {
 	g, cfg := v.g, v.cfg
-	cur := v.cur
-	// Lazy clear: only the cells written when this buffer was last the
-	// destination are non-Inf. A sequential sweep beats scattered
-	// stores once the dirty list covers most of the grid.
-	if len(v.stale)*2 >= len(cur) {
-		for i := range cur {
-			cur[i] = math.Inf(-1)
-		}
-	} else {
-		for _, i := range v.stale {
-			cur[i] = math.Inf(-1)
-		}
-	}
+	sc := g.scratch()
+	cur, arg := sc.cur, sc.arg
 	negInf := math.Inf(-1)
-	arg := v.arg
-	touched := v.touched[:0]
+	touched := sc.touched[:0]
 	var stencil []stencilEntry
 	if cfg.DisableStencilCache {
-		v.stencil = g.buildStencil(ev, v.stencil[:0])
-		stencil = v.stencil
+		sc.stencil = g.buildStencil(ev, sc.stencil[:0])
+		stencil = sc.stencil
 	} else if st, hit := g.stencilFor(ev); hit {
 		v.stencilHits++
 		stencil = st
@@ -508,7 +524,7 @@ func (v *viterbiState) step(ev stepEvidence) {
 	const radialSigma = 0.005
 	invVar := 1 / (2 * radialSigma * radialSigma)
 	for j, from := range v.active {
-		base := v.prev[from]
+		base := v.score[j]
 		fx, fy := from%g.nx, from/g.nx
 		var dExp geom.Vec2
 		radialOK := false
@@ -581,92 +597,96 @@ func (v *viterbiState) step(ev stepEvidence) {
 		// own predecessor. (No cell was written, so touched is empty
 		// here.)
 		for j, i := range v.active {
-			cur[i] = v.prev[i]
+			cur[i] = v.score[j]
 			arg[i] = int32(j)
 			touched = append(touched, int32(i))
 		}
 		maxCur = v.maxPrev
 	}
-	// Beam prune and rebuild the active list: only touched cells can
-	// be finite. The bitmap pass restores ascending cell order so the
-	// next step's transition scan (and hence every tie-break) is
-	// identical to a dense full-grid pass.
-	if v.mask == nil {
-		v.mask = make([]uint64, (len(cur)+63)/64)
-	}
+	// Beam prune: only touched cells can be finite. Survivors are
+	// marked in the bitmap; everything else clears back to -Inf.
+	mask := sc.mask
 	live := 0
-	if thr, kEff, surv, bounded := v.topKSelect(cur, touched, maxCur); bounded {
+	if thr, kEff, surv, bounded := v.topKSelect(sc, touched, maxCur); bounded {
 		// Count bound composed with the window prune: keep states
 		// strictly above the K-th survivor score; boundary ties fill
 		// the remaining slots in ascending cell order, matching the
 		// dense pass's lowest-index-wins tie-breaking. Everything else
 		// (window-pruned or below the cut) clears to -Inf.
 		nAbove := 0
-		ties := v.tieBuf[:0]
+		ties := sc.ties[:0]
 		for _, i := range touched {
 			switch s := cur[i]; {
 			case s > thr:
-				v.mask[i>>6] |= 1 << (uint(i) & 63)
+				mask[i>>6] |= 1 << (uint(i) & 63)
 				nAbove++
 			case s == thr:
 				ties = append(ties, i)
 			default:
-				cur[i] = math.Inf(-1)
+				cur[i] = negInf
 			}
 		}
 		slices.Sort(ties)
 		for j, i := range ties {
 			if j < kEff-nAbove {
-				v.mask[i>>6] |= 1 << (uint(i) & 63)
+				mask[i>>6] |= 1 << (uint(i) & 63)
 			} else {
-				cur[i] = math.Inf(-1)
+				cur[i] = negInf
 			}
 		}
-		v.tieBuf = ties
+		sc.ties = ties
 		v.topkPruned += uint64(surv - kEff)
 		live = nAbove + min(len(ties), kEff-nAbove)
 	} else {
 		for _, i := range touched {
 			if cur[i] > maxCur-beamWidth {
-				v.mask[i>>6] |= 1 << (uint(i) & 63)
+				mask[i>>6] |= 1 << (uint(i) & 63)
 				live++
 			} else {
-				cur[i] = math.Inf(-1)
+				cur[i] = negInf
 			}
 		}
 	}
-	// The rebuild also fills this time's beam record, whose cells are
-	// the new active list.
-	newActive := v.stale[:0]
-	if cap(newActive) < live {
-		newActive = make([]int, 0, live)
+	// Rebuild the beam from the bitmap, ascending, so the next step's
+	// transition scan (and hence every tie-break) is identical to a
+	// dense full-grid pass. The scan above was the last read of the old
+	// beam, so its buffers take the new one — unless they are wider
+	// than the count bound (the prior's support after the first step),
+	// which the collector takes instead. Each survivor's score moves
+	// out of cur, leaving the scratch all -Inf again, and the same pass
+	// fills this time's beam record.
+	active, score := v.active[:0], v.score[:0]
+	if c := v.recordBound(); cap(active) < live || c > 0 && cap(active) > c {
+		active = make([]int, 0, max(live, c))
+		score = make([]float64, 0, max(live, c))
 	}
 	rec := v.newRecord(live)
 	cells, pred := rec.cells, rec.pred
-	for w, bs := range v.mask {
+	for w, bs := range mask {
 		if bs == 0 {
 			continue
 		}
-		v.mask[w] = 0
+		mask[w] = 0
 		base := w << 6
 		for bs != 0 {
 			i := base + bits.TrailingZeros64(bs)
-			newActive = append(newActive, i)
+			active = append(active, i)
+			score = append(score, cur[i])
+			cur[i] = negInf
 			cells = append(cells, int32(i))
 			pred = append(pred, arg[i])
 			bs &= bs - 1
 		}
 	}
-	v.touched = touched
+	sc.touched = touched
+	g.scratchPool.Put(sc)
+	v.active, v.score = active, score
 	v.maxPrev = maxCur
 	v.back = append(v.back, beamRecord{cells: cells, pred: pred})
 	v.steps++
-	v.stale = v.active
-	v.active = newActive
-	v.prev, v.cur = cur, v.prev
-	v.activeSum += uint64(len(newActive))
-	if len(newActive) > v.activePeak {
-		v.activePeak = len(newActive)
+	v.activeSum += uint64(len(active))
+	if len(active) > v.activePeak {
+		v.activePeak = len(active)
 	}
 }
 
@@ -676,26 +696,26 @@ func (v *viterbiState) step(ev stepEvidence) {
 const adaptMargin = 2.0
 
 // topKSelect decides whether the count bound applies this step. It
-// collects the window-prune survivors, runs the adaptive controller,
-// and — when the survivors exceed the bound — returns the K-th-largest
-// survivor score (the selection threshold), the effective K, and the
-// survivor count.
-func (v *viterbiState) topKSelect(cur []float64, touched []int32, maxCur float64) (thr float64, kEff, surv int, bounded bool) {
+// collects the window-prune survivors among sc's touched cells, runs
+// the adaptive controller, and — when the survivors exceed the bound —
+// returns the K-th-largest survivor score (the selection threshold),
+// the effective K, and the survivor count.
+func (v *viterbiState) topKSelect(sc *stepScratch, touched []int32, maxCur float64) (thr float64, kEff, surv int, bounded bool) {
 	k := v.cfg.BeamTopK
 	if k <= 0 {
 		return 0, 0, 0, false
 	}
-	sel := v.selBuf[:0]
+	sel := sc.sel[:0]
 	nClose := 0
 	for _, i := range touched {
-		if s := cur[i]; s > maxCur-beamWidth {
+		if s := sc.cur[i]; s > maxCur-beamWidth {
 			sel = append(sel, s)
 			if s > maxCur-adaptMargin {
 				nClose++
 			}
 		}
 	}
-	v.selBuf = sel
+	sc.sel = sel
 	if v.cfg.BeamAdaptive {
 		k = v.adaptK(nClose)
 	} else {
@@ -847,8 +867,8 @@ func (v *viterbiState) best() int {
 // the current beam record).
 func (v *viterbiState) bestIdx() int {
 	best := 0
-	for j, i := range v.active[1:] {
-		if v.prev[i] > v.prev[v.active[best]] {
+	for j, s := range v.score[1:] {
+		if s > v.score[best] {
 			best = j + 1
 		}
 	}
@@ -920,18 +940,24 @@ func (v *viterbiState) commitMerged() {
 		set = append(set, int32(j))
 	}
 	next := v.setB[:0]
+	sc := v.g.scratch()
 	collapsed := -1
 	for k := v.steps; collapsed < 0 && k >= v.commitT+2; k-- {
 		prevLen := len(set)
 		pred := v.record(k).pred
-		if n := len(v.record(k - 1).cells); len(v.setMark) < n {
-			v.setMark = make([]uint32, n)
+		if n := len(v.record(k - 1).cells); len(sc.setMark) < n {
+			sc.setMark = make([]uint32, n)
 		}
-		v.setGen++
+		// The marks outlive this decoder in the shared scratch, so a
+		// wrapped generation must not meet a stale mark equal to it.
+		if sc.setGen++; sc.setGen == 0 {
+			clear(sc.setMark)
+			sc.setGen = 1
+		}
 		next = next[:0]
 		for _, j := range set {
-			if b := pred[j]; v.setMark[b] != v.setGen {
-				v.setMark[b] = v.setGen
+			if b := pred[j]; sc.setMark[b] != sc.setGen {
+				sc.setMark[b] = sc.setGen
 				next = append(next, b)
 			}
 		}
@@ -948,6 +974,7 @@ func (v *viterbiState) commitMerged() {
 			break
 		}
 	}
+	v.g.scratchPool.Put(sc)
 	if collapsed > v.commitT {
 		v.mergeCommits++
 		v.commitThrough(collapsed, set[0])
@@ -1002,8 +1029,7 @@ func (v *viterbiState) commitThrough(tc int, j int32) {
 }
 
 // viterbi decodes the most likely cell sequence given the per-step
-// evidence and an initial log-probability vector, which it takes
-// ownership of. It returns cell indices, one per step (len(evidence)+1
+// evidence and an initial log-probability vector. It returns cell indices, one per step (len(evidence)+1
 // states). Decoding is beam-pruned (see beamWidth).
 func (g *grid) viterbi(cfg Config, initLog []float64, evidence []stepEvidence) []int {
 	v := g.seedViterbi(cfg, initLog)

@@ -144,8 +144,8 @@ func TestNaturalMergeCommit(t *testing.T) {
 		evs = append(evs, stepEvidence{dMin: 0.004, dMax: 0.006, dphi: g.expDphi[g.index(pos)]})
 	}
 
-	v := g.newViterbiState(cfg, init)   // with merge commits
-	ref := g.newViterbiState(cfg, init) // without
+	v := g.seedViterbi(cfg, init)   // with merge commits
+	ref := g.seedViterbi(cfg, init) // without
 	var committed []int32
 	for _, ev := range evs {
 		v.step(ev)

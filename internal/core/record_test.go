@@ -1,21 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
-	"slices"
 	"testing"
 
 	"polardraw/internal/geom"
 	"polardraw/internal/reader"
 )
-
-// newViterbiState seeds a decoder with a copy of initLog, so tests can
-// seed several decoders from one distribution.
-func (g *grid) newViterbiState(cfg Config, initLog []float64) *viterbiState {
-	return g.seedViterbi(cfg, slices.Clone(initLog))
-}
 
 // TestBeamRecordsBoundedByBeam streams a long input under a count
 // bound on two grids, the second with four times the cells, and checks
@@ -225,4 +219,62 @@ func TestSnapshotRejectsCorruptRecords(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTimeZeroRecordCellsOnly checks that time 0's beam record, whose
+// predecessors no backtrack reads, holds cells only after a seed and
+// after a restore, and that a snapshot holding it restores to the same
+// bytes and the same decode.
+func TestTimeZeroRecordCellsOnly(t *testing.T) {
+	samples, ants := synthSamples(t, 'R', 3)
+	tr := New(servingConfig(ants))
+	st := tr.Stream()
+	pushed := 0
+	for ; st.Windows() < 20; pushed++ {
+		if err := st.Push(samples[pushed]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.vit.commitT >= 0 {
+		t.Fatalf("time 0 committed after %d windows", st.Windows())
+	}
+	if rec := st.vit.back[0]; cap(rec.pred) != 0 || len(rec.cells) <= DefaultBeamTopK {
+		t.Fatalf("time 0 record: %d cells, pred capacity %d; want the prior's support and no pred",
+			len(rec.cells), cap(rec.pred))
+	}
+	snap, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := tr.RestoreStream(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := rs.vit.back[0].pred; cap(p) != 0 {
+		t.Fatalf("restored time 0 record has pred capacity %d", cap(p))
+	}
+	again, err := rs.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, again) {
+		t.Fatal("restored snapshot differs from the original")
+	}
+	for _, s := range []*StreamTracker{st, rs} {
+		if err := s.Push(samples[pushed:]...); err != nil {
+			t.Fatal(err)
+		}
+		if s.vit.commitT < 0 {
+			t.Fatal("letter ended before the first commit")
+		}
+	}
+	want, err := st.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rs.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, want, got)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -146,6 +147,21 @@ func (d *denseRef) path() []int {
 	return path
 }
 
+// denseView expands the decoder's beam (active cells with their
+// scores) into a grid-sized probability vector, -Inf outside the beam,
+// so the sparse decoder can be checked against the dense reference
+// cell by cell.
+func (v *viterbiState) denseView() []float64 {
+	out := make([]float64, v.g.size())
+	for i := range out {
+		out[i] = math.Inf(-1)
+	}
+	for j, i := range v.active {
+		out[i] = v.score[j]
+	}
+	return out
+}
+
 // letterEvidence replays the Fig. 5 pipeline up to the decoder for one
 // synthesized letter, returning the grid, evidence steps, and initial
 // distribution the decoder would see.
@@ -202,15 +218,16 @@ func TestSparseDecoderMatchesDenseReference(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g, cfg, init, evs := letterEvidence(t, tc.letter, tc.seed, tc.mod)
-			v := g.newViterbiState(cfg, init)
+			v := g.seedViterbi(cfg, init)
 			d := newDenseRef(g, cfg, init)
 			for k, ev := range evs {
 				v.step(ev)
 				d.step(ev)
+				vd := v.denseView()
 				for i := range d.prev {
-					if v.prev[i] != d.prev[i] {
+					if vd[i] != d.prev[i] {
 						t.Fatalf("step %d: prob[%d] sparse %v, dense %v",
-							k, i, v.prev[i], d.prev[i])
+							k, i, vd[i], d.prev[i])
 					}
 				}
 				if v.best() != d.best() {
@@ -238,6 +255,48 @@ func TestSparseDecoderMatchesDenseReference(t *testing.T) {
 	}
 }
 
+// TestStepScratchSharedAcrossDecoders interleaves the steps and merge
+// walks of two decoders on one grid, so each borrows the step scratch
+// the other just returned, and requires both to match decoders running
+// alone on grids of their own, step by step. Any state a step left in
+// the pooled scratch would show up here as a divergence.
+func TestStepScratchSharedAcrossDecoders(t *testing.T) {
+	// A window-only beam, and a count bound narrow enough for merge
+	// commits to fire (see README, "Memory").
+	for _, k := range []int{0, 32} {
+		mod := func(c *Config) { c.BeamTopK = k }
+		g, cfg, initA, evsA := letterEvidence(t, 'W', 7, mod)
+		gB, _, initB, evsB := letterEvidence(t, 'S', 8, mod)
+		a, b := g.seedViterbi(cfg, initA), g.seedViterbi(cfg, initB)
+		refA, refB := newGrid(cfg).seedViterbi(cfg, initA), gB.seedViterbi(cfg, initB)
+		const lag = 6
+		for s := 0; s < min(len(evsA), len(evsB)); s++ {
+			for _, p := range []struct {
+				name   string
+				v, ref *viterbiState
+				ev     stepEvidence
+			}{{"A", a, refA, evsA[s]}, {"B", b, refB, evsB[s]}} {
+				p.v.step(p.ev)
+				p.ref.step(p.ev)
+				vd, rd := p.v.denseView(), p.ref.denseView()
+				for i := range rd {
+					if vd[i] != rd[i] {
+						t.Fatalf("K=%d %s step %d: prob[%d] shared %v, alone %v", k, p.name, s, i, vd[i], rd[i])
+					}
+				}
+				vs, vc := p.v.advanceCommit(lag)
+				rs, rc := p.ref.advanceCommit(lag)
+				if vs != rs || !slices.Equal(vc, rc) {
+					t.Fatalf("K=%d %s step %d: commit %d%v shared, %d%v alone", k, p.name, s, vs, vc, rs, rc)
+				}
+			}
+		}
+		if k > 0 && a.mergeCommits+b.mergeCommits == 0 {
+			t.Fatalf("K=%d: no merge commit, so the merge walk's shared marks went unexercised", k)
+		}
+	}
+}
+
 // TestSparseDecoderHoldFallback drives both decoders through evidence
 // no transition can satisfy (the hold-position fallback) and requires
 // identical recovery.
@@ -245,7 +304,7 @@ func TestSparseDecoderHoldFallback(t *testing.T) {
 	cfg := gridCfg()
 	g := newGrid(cfg)
 	init := g.initialDistribution(cfg, g.expDphi[g.index(geom.Vec2{X: 0.3, Y: 0.1})])
-	v := g.newViterbiState(cfg, init)
+	v := g.seedViterbi(cfg, init)
 	d := newDenseRef(g, cfg, init)
 	evs := []stepEvidence{
 		{dMin: 0.004, dMax: 0.008, dphi: math.NaN()},
@@ -260,9 +319,10 @@ func TestSparseDecoderHoldFallback(t *testing.T) {
 	for k, ev := range evs {
 		v.step(ev)
 		d.step(ev)
+		vd := v.denseView()
 		for i := range d.prev {
-			if v.prev[i] != d.prev[i] {
-				t.Fatalf("step %d: prob[%d] sparse %v, dense %v", k, i, v.prev[i], d.prev[i])
+			if vd[i] != d.prev[i] {
+				t.Fatalf("step %d: prob[%d] sparse %v, dense %v", k, i, vd[i], d.prev[i])
 			}
 		}
 	}
@@ -298,8 +358,8 @@ func TestTopKSelectionMatchesSortedReference(t *testing.T) {
 		g, cfg, init, evs := letterEvidence(t, tc.letter, tc.seed, nil)
 		cfgK := cfg
 		cfgK.BeamTopK = tc.k
-		vw := g.newViterbiState(cfg, init)
-		vk := g.newViterbiState(cfgK, init)
+		vw := g.seedViterbi(cfg, init)
+		vk := g.seedViterbi(cfgK, init)
 		vw.step(evs[0])
 		vk.step(evs[0])
 
@@ -308,8 +368,9 @@ func TestTopKSelectionMatchesSortedReference(t *testing.T) {
 			score float64
 		}
 		cands := make([]cand, 0, len(vw.active))
+		vwd := vw.denseView()
 		for _, i := range vw.active {
-			cands = append(cands, cand{i, vw.prev[i]})
+			cands = append(cands, cand{i, vwd[i]})
 		}
 		sort.Slice(cands, func(a, b int) bool {
 			if cands[a].score != cands[b].score {
@@ -325,6 +386,7 @@ func TestTopKSelectionMatchesSortedReference(t *testing.T) {
 		for _, c := range cands[:n] {
 			want[c.cell] = c.score
 		}
+		vkd := vk.denseView()
 		if len(vk.active) != n {
 			t.Fatalf("%c k=%d: active %d, want %d", tc.letter, tc.k, len(vk.active), n)
 		}
@@ -336,8 +398,8 @@ func TestTopKSelectionMatchesSortedReference(t *testing.T) {
 			if !ok {
 				t.Fatalf("%c k=%d: cell %d kept but not in the top-%d reference", tc.letter, tc.k, i, n)
 			}
-			if s != vk.prev[i] {
-				t.Fatalf("%c k=%d: cell %d score %v, want %v", tc.letter, tc.k, i, vk.prev[i], s)
+			if s != vkd[i] {
+				t.Fatalf("%c k=%d: cell %d score %v, want %v", tc.letter, tc.k, i, vkd[i], s)
 			}
 		}
 		if st := vk.decodeStats(); st.TopKPruned != uint64(len(cands)-n) {
@@ -416,14 +478,15 @@ func TestHoldFallbackUnderTopK(t *testing.T) {
 	cfg.BeamTopK = 8
 	g := newGrid(cfg)
 	init := g.initialDistribution(cfg, g.expDphi[g.index(geom.Vec2{X: 0.3, Y: 0.1})])
-	v := g.newViterbiState(cfg, init)
+	v := g.seedViterbi(cfg, init)
 	v.step(stepEvidence{dMin: 0.004, dMax: 0.008, dphi: math.NaN()})
 	if len(v.active) == 0 || len(v.active) > cfg.BeamTopK {
 		t.Fatalf("step 1: active %d, want 1..%d", len(v.active), cfg.BeamTopK)
 	}
 	before := make(map[int]float64, len(v.active))
+	vd := v.denseView()
 	for _, i := range v.active {
-		before[i] = v.prev[i]
+		before[i] = vd[i]
 	}
 	// A contradictory annulus falling strictly between the
 	// representable step distances 0 and one cell kills every
@@ -432,13 +495,14 @@ func TestHoldFallbackUnderTopK(t *testing.T) {
 	if len(v.active) == 0 || len(v.active) > cfg.BeamTopK {
 		t.Fatalf("hold step: active %d, want 1..%d", len(v.active), cfg.BeamTopK)
 	}
+	vd = v.denseView()
 	for _, i := range v.active {
 		s, ok := before[i]
 		if !ok {
 			t.Fatalf("hold step: cell %d appeared from outside the previous beam", i)
 		}
-		if s != v.prev[i] {
-			t.Fatalf("hold step: cell %d score %v, want carried %v", i, v.prev[i], s)
+		if s != vd[i] {
+			t.Fatalf("hold step: cell %d score %v, want carried %v", i, vd[i], s)
 		}
 	}
 	// Held backpointers are self-loops: the decoded path repeats.
