@@ -297,10 +297,14 @@ func (c *Client) routerOf() *session.Router {
 }
 
 // Handoff gracefully moves one EPC's live session to the named backend
-// (see Backends): export on the current owner, checkpoint into the
-// journal, restore on the target, pin the route. Requires WithJournal;
-// use it to drain a shard before maintenance instead of killing it and
-// paying a crash recovery.
+// (see Backends) and pins the route there. It is the same move drains
+// and failover make, export first: export on the current owner,
+// checkpoint into the journal (WithJournal), restore on the target, and
+// restore back on the owner if the target refuses. With a journal, an
+// owner that cannot export is bypassed: the target restores the
+// journal's checkpoint (or re-opens with the recorded options) and
+// replays the journal tail. Use it to move load off a shard before
+// maintenance instead of killing it and paying a crash recovery.
 func (c *Client) Handoff(ctx context.Context, epc, backend string) error {
 	return c.routerOf().Handoff(ctx, epc, backend)
 }

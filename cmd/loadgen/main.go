@@ -43,7 +43,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -77,7 +76,6 @@ var (
 	slowSubs  = flag.Int("slow-subscribers", 0, "attach this many deliberately slow event subscribers (each reads one event per 100ms); decode must shed events to them, never stall")
 	zipf      = flag.Float64("zipf", 0, "EPC popularity skew: Zipf exponent over pens (0 = uniform; hot pens replay their stream several times per round)")
 	churn     = flag.Float64("churn", 0, "session churn: finalize this many random live sessions per second mid-load; their next sample reopens them implicitly (0 = off)")
-	latJSON   = flag.String("latency-json", "", "write the latency distribution (p50/p99/p999, throughput) to this file as JSON")
 	serve     = polardraw.BindFlags(flag.CommandLine)
 )
 
@@ -457,44 +455,9 @@ func main() {
 		fmt.Printf("slow subscribers: %d consumers read %d events; %d events shed at full buffers (decode never stalled)\n",
 			*slowSubs, slowSeen.Load(), c.EventsDropped())
 	}
-	if *latJSON != "" {
-		if err := writeLatencyJSON(*latJSON, n, p50, p99, p999,
-			float64(dispatched)/elapsed.Seconds(), float64(wins)/elapsed.Seconds(), *pace); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("latency distribution written to %s\n", *latJSON)
-	}
 	if *verify {
 		verifyAgainst(ctx, ref, c, results)
 	}
-}
-
-// writeLatencyJSON publishes the run's latency distribution for the CI
-// perf-trajectory artifact (LATENCY_PR<n>.json next to BENCH_PR<n>.json).
-func writeLatencyJSON(path string, n int, p50, p99, p999, samplesPerSec, windowsPerSec float64, paced bool) error {
-	finite := func(x float64) float64 { // an idle run has no percentiles
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return 0
-		}
-		return x
-	}
-	out := struct {
-		N             int     `json:"n"`
-		P50ms         float64 `json:"p50_ms"`
-		P99ms         float64 `json:"p99_ms"`
-		P999ms        float64 `json:"p999_ms"`
-		SamplesPerSec float64 `json:"samples_per_sec"`
-		WindowsPerSec float64 `json:"windows_per_sec"`
-		Paced         bool    `json:"paced"`
-	}{n, finite(p50), finite(p99), finite(p999), finite(samplesPerSec), finite(windowsPerSec), paced}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return fmt.Errorf("latency-json: %w", err)
-	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("latency-json: %w", err)
-	}
-	return nil
 }
 
 // zipfReplicas maps the -zipf exponent to per-pen stream replica

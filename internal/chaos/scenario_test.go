@@ -360,3 +360,80 @@ func TestScenarioStallShedsNotBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestScenarioDrainReportsFailedRebuild drains a member whose Export
+// fails while the target refuses both Open and Dispatch, so the
+// journal rebuild fails too. ApplyMembership must report that failure,
+// naming the EPC, and leave the route on the draining member, where
+// the stroke keeps decoding and converges bit-identically.
+func TestScenarioDrainReportsFailedRebuild(t *testing.T) {
+	ctx := context.Background()
+	samples, ants := penStreams(t, 1, 61)
+	epc := samples[0].EPC
+	names := []string{"shard-0", "shard-1"}
+	locals := make([]session.ShardBackend, len(names))
+	probe := make([]session.NamedBackend, len(names))
+	for i, n := range names {
+		locals[i] = session.NewLocalBackend(session.LocalConfig{
+			Session: session.Config{Tracker: trackerCfg(ants)},
+		})
+		probe[i] = session.NamedBackend{Name: n, Backend: locals[i]}
+	}
+	// Rendezvous placement depends on the names alone: find the pen's
+	// owner first, then fault the owner's Export and the target's Open
+	// and Dispatch.
+	owner := session.NewRouter(probe).BackendFor(epc)
+	exportFails := New(1, Rule{Op: OpExport, Fault: Fault{Err: errors.New("injected export failure")}})
+	targetFails := New(2,
+		Rule{Op: OpOpen, Fault: Fault{Err: errors.New("injected open failure")}},
+		Rule{Op: OpDispatch, Fault: Fault{Err: errors.New("injected dispatch failure")}})
+	nbs := make([]session.NamedBackend, len(names))
+	var target string
+	for i, n := range names {
+		in := targetFails
+		if n == owner {
+			in = exportFails
+		} else {
+			target = n
+		}
+		nbs[i] = session.NamedBackend{Name: n, Backend: Wrap(locals[i], in)}
+	}
+	r := session.NewRouter(nbs)
+	r.SetJournal(session.NewMemJournal(0))
+
+	if err := r.Open(ctx, epc, session.OpenOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	half := len(samples) / 2
+	for _, smp := range samples[:half] {
+		if err := r.Dispatch(ctx, smp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := r.ApplyMembership(ctx, session.Membership{Epoch: 1, Members: []session.Member{
+		{Name: owner, State: session.StateDraining}, {Name: target},
+	}})
+	if err == nil {
+		t.Fatal("drain reported success although the rebuild on the target failed")
+	}
+	if !strings.Contains(err.Error(), epc) {
+		t.Fatalf("drain error does not name the EPC %s: %v", epc, err)
+	}
+	if got := r.BackendFor(epc); got != owner {
+		t.Fatalf("EPC routes to %s after the failed drain, want %s", got, owner)
+	}
+	if exportFails.Fired() == 0 || targetFails.Fired() == 0 {
+		t.Fatalf("faults fired: export %d, target %d", exportFails.Fired(), targetFails.Fired())
+	}
+
+	for _, smp := range samples[half:] {
+		if err := r.Dispatch(ctx, smp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	results, err := r.Close(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, results, samples, ants)
+}

@@ -145,7 +145,11 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 // are refused, and finalized trackers cannot snapshot.
 func TestSnapshotRejectsGarbage(t *testing.T) {
 	samples, ants := synthSamples(t, 'R', 3)
-	cfg := Config{Antennas: ants, Window: 0.1, CommitLag: 8}
+	// A window-only decode on a 2 cm grid: its snapshot has every
+	// section a 5 mm one has, at a few percent of the size, so the
+	// truncation sweep below (one restore per cut, each parsing up to
+	// the cut) stays cheap.
+	cfg := Config{Antennas: ants, Window: 0.1, CommitLag: 8, CellSize: 0.02}
 	tr := New(cfg)
 	st := tr.Stream()
 	if err := st.Push(samples[:len(samples)/2]...); err != nil {
@@ -154,6 +158,28 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 	snap, err := st.Snapshot()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The sweep's 13-byte stride cuts inside every section at least
+	// 13 bytes long: the fixed header, configuration and direction
+	// evidence always are; the variable ones must be too.
+	const stride = 13
+	v := st.vit
+	if v == nil || len(st.windows) == 0 || len(v.back) < 2 {
+		t.Fatalf("snapshot lacks windows or beam records (%d windows)", len(st.windows))
+	}
+	withPreds := 0
+	for _, rec := range v.back[1:] {
+		withPreds += 4 + 8*len(rec.cells)
+	}
+	for name, n := range map[string]int{
+		"closed windows":      4 + ckptWindowSize*len(st.windows),
+		"active cells+scores": 4 + 12*len(v.active),
+		"cells-only record":   4 + 4*len(v.back[0].cells),
+		"records with preds":  withPreds,
+	} {
+		if n < stride {
+			t.Fatalf("%s section is %d bytes, shorter than the %d-byte stride", name, n, stride)
+		}
 	}
 
 	if _, err := tr.RestoreStream(nil); err == nil {
@@ -165,14 +191,14 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 		t.Fatal("bad magic restored")
 	}
 	// Truncation anywhere in the body must error, never panic.
-	for cut := 0; cut < len(snap); cut += 13 {
+	for cut := 0; cut < len(snap); cut += stride {
 		if _, err := tr.RestoreStream(snap[:cut]); err == nil {
 			t.Fatalf("truncation at %d restored", cut)
 		}
 	}
 	// Grid mismatch: half the cell size, four times the cells.
 	small := cfg
-	small.CellSize = 0.0025
+	small.CellSize = cfg.CellSize / 2
 	if _, err := New(small).RestoreStream(snap); err == nil {
 		t.Fatal("snapshot restored onto a different grid")
 	}

@@ -111,24 +111,20 @@ type routerBackend struct {
 	// inflight counts concurrent dispatch calls for the admission
 	// budget; lastTrial (UnixNano) spaces half-open trial dispatches
 	// while every backend is down; probing guards against overlapping
-	// heartbeat probes when one wedges past its deadline.
+	// heartbeat probes when one wedges past its deadline; migrating is
+	// set while a failover for this backend is in flight.
 	inflight  atomic.Int64
 	lastTrial atomic.Int64
 	probing   atomic.Bool
+	migrating atomic.Bool
 
 	// stMu guards the hysteresis state below. Calls and heartbeat
 	// probes feed deliberately separate streaks: a backend that still
 	// answers Ping but rejects every dispatch must stay unhealthy, so a
 	// probe success may not erase a call-failure streak (and vice
 	// versa).
-	stMu      sync.Mutex
-	callFails int  // consecutive failed calls
-	callSuccs int  // consecutive successful calls while callDown
-	callDown  bool // call streak crossed unhealthyAfter
-	pingFailN int
-	pingSuccN int
-	pingDown  bool
-	migrating bool // a failover for this backend is in flight
+	stMu       sync.Mutex
+	call, ping streak
 
 	// onDown fires (outside stMu) on a healthy->unhealthy transition;
 	// the router uses it to trigger journal-backed failover.
@@ -154,7 +150,32 @@ func (rb *routerBackend) roleState() BackendState {
 func (rb *routerBackend) healthy() bool {
 	rb.stMu.Lock()
 	defer rb.stMu.Unlock()
-	return !rb.callDown && !rb.pingDown
+	return !rb.call.down && !rb.ping.down
+}
+
+// streak is one side of a backend's health hysteresis: down after
+// unhealthyAfter consecutive failures, up again after healthyAfter
+// consecutive successes.
+type streak struct {
+	fails, succs int
+	down         bool
+}
+
+func (s *streak) record(ok bool) {
+	switch {
+	case !ok:
+		s.succs = 0
+		if s.fails++; s.fails >= unhealthyAfter {
+			s.down = true
+		}
+	case s.down:
+		s.fails = 0
+		if s.succs++; s.succs >= healthyAfter {
+			s.down, s.succs = false, 0
+		}
+	default:
+		s.fails = 0
+	}
 }
 
 // pinger is implemented by backends that support a cheap liveness
@@ -197,72 +218,37 @@ func (rb *routerBackend) announce(before, after bool) {
 	}
 }
 
-// fail records a failed call against the backend.
-func (rb *routerBackend) fail(err error) {
-	rb.errs.Add(1)
-	rb.lastErr.Store(err.Error())
+// observe records one outcome on streak st (rb.call or rb.ping) and
+// announces a resulting health transition.
+func (rb *routerBackend) observe(st *streak, ok bool) {
 	rb.stMu.Lock()
-	before := !rb.callDown && !rb.pingDown
-	rb.callFails++
-	rb.callSuccs = 0
-	if rb.callFails >= unhealthyAfter {
-		rb.callDown = true
-	}
-	after := !rb.callDown && !rb.pingDown
+	before := !rb.call.down && !rb.ping.down
+	st.record(ok)
+	after := !rb.call.down && !rb.ping.down
 	rb.stMu.Unlock()
 	rb.announce(before, after)
 }
 
-// ok records a successful call.
-func (rb *routerBackend) ok() {
-	rb.stMu.Lock()
-	before := !rb.callDown && !rb.pingDown
-	rb.callFails = 0
-	if rb.callDown {
-		rb.callSuccs++
-		if rb.callSuccs >= healthyAfter {
-			rb.callDown = false
-			rb.callSuccs = 0
-		}
-	}
-	after := !rb.callDown && !rb.pingDown
-	rb.stMu.Unlock()
-	rb.announce(before, after)
+// fail records a failed call against the backend.
+func (rb *routerBackend) fail(err error) {
+	rb.errs.Add(1)
+	rb.lastErr.Store(err.Error())
+	rb.observe(&rb.call, false)
 }
+
+// ok records a successful call.
+func (rb *routerBackend) ok() { rb.observe(&rb.call, true) }
 
 // pingFail records a failed heartbeat probe.
 func (rb *routerBackend) pingFail(err error) {
 	rb.pingFails.Add(1)
 	rb.errs.Add(1)
 	rb.lastErr.Store(err.Error())
-	rb.stMu.Lock()
-	before := !rb.callDown && !rb.pingDown
-	rb.pingFailN++
-	rb.pingSuccN = 0
-	if rb.pingFailN >= unhealthyAfter {
-		rb.pingDown = true
-	}
-	after := !rb.callDown && !rb.pingDown
-	rb.stMu.Unlock()
-	rb.announce(before, after)
+	rb.observe(&rb.ping, false)
 }
 
 // pingOK records a successful heartbeat probe.
-func (rb *routerBackend) pingOK() {
-	rb.stMu.Lock()
-	before := !rb.callDown && !rb.pingDown
-	rb.pingFailN = 0
-	if rb.pingDown {
-		rb.pingSuccN++
-		if rb.pingSuccN >= healthyAfter {
-			rb.pingDown = false
-			rb.pingSuccN = 0
-		}
-	}
-	after := !rb.callDown && !rb.pingDown
-	rb.stMu.Unlock()
-	rb.announce(before, after)
-}
+func (rb *routerBackend) pingOK() { rb.observe(&rb.ping, true) }
 
 // Router fans a mixed multi-pen stream out over a fixed set of shard
 // backends using rendezvous (highest-random-weight) hashing: each EPC
@@ -560,43 +546,6 @@ func (r *Router) healthyAmong(epc string, exclude *routerBackend) *routerBackend
 	return pick(StateSpare)
 }
 
-// ensureRoutable moves an EPC away from a dead shard on the dispatch
-// path: with a journal attached, an EPC with no override whose
-// rendezvous winner is down is migrated to the healthy runner-up
-// before the sample dispatches — a full migration (checkpoint restore
-// plus journal replay, see migrateLocked), not a bare re-pin, because
-// the EPC may be mid-stroke with history only the journal remembers.
-// A brand-new stroke (nothing journaled yet) degenerates to just the
-// pin. Without a journal routing never moves (health is advisory),
-// and an EPC the failover already migrated keeps its override. Races
-// with the down-transition's failover goroutine are benign: whichever
-// side pins first wins, the other observes the override and skips.
-func (r *Router) ensureRoutable(epc string) {
-	if r.journal == nil {
-		return
-	}
-	r.handoffMu.RLock()
-	_, pinned := r.overrides[epc]
-	var rb *routerBackend
-	if !pinned {
-		rb = r.backendFor(epc)
-	}
-	r.handoffMu.RUnlock()
-	if pinned || rb.healthy() {
-		return
-	}
-	r.handoffMu.Lock()
-	defer r.handoffMu.Unlock()
-	if _, pinned := r.overrides[epc]; pinned {
-		return
-	}
-	if alt := r.healthyAmong(epc, rb); alt != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), failoverTimeout)
-		r.migrateLocked(ctx, epc, alt)
-		cancel()
-	}
-}
-
 // BackendFor reports which backend (by name) the EPC routes to,
 // including any migration override.
 func (r *Router) BackendFor(epc string) string {
@@ -804,145 +753,13 @@ func (r *Router) Shed() uint64 {
 // remote restore calls. The migrating flag dedups the call- and
 // ping-streak transitions racing each other.
 func (r *Router) backendDown(rb *routerBackend) {
-	if r.journal == nil {
+	if r.journal == nil || !rb.migrating.CompareAndSwap(false, true) {
 		return
 	}
-	rb.stMu.Lock()
-	if rb.migrating {
-		rb.stMu.Unlock()
-		return
-	}
-	rb.migrating = true
-	rb.stMu.Unlock()
 	go func() {
-		defer func() {
-			rb.stMu.Lock()
-			rb.migrating = false
-			rb.stMu.Unlock()
-		}()
+		defer rb.migrating.Store(false)
 		r.failover(rb)
 	}()
-}
-
-// failover migrates every journaled EPC served by the dead backend to
-// a healthy one: restore from the latest checkpoint (or re-open with
-// the recorded options), replay the journal tail, and pin an override.
-// Each EPC migrates under the write lock, so dispatch traffic observes
-// either the old backend (its samples are journaled, hence replayed)
-// or the completed migration — never a half-moved stroke. An EPC whose
-// migration fails stays routed to the dead backend with its journal
-// intact; a later down-transition (or recovery) retries.
-func (r *Router) failover(dead *routerBackend) {
-	j := r.journal
-	if j == nil {
-		return
-	}
-	// The dead backend's transport must not resend its buffered samples
-	// into the old shard after the EPCs move: the journal has them all.
-	if a, ok := dead.b.(abandoner); ok {
-		a.AbandonPending()
-	}
-	if r.tel != nil {
-		r.tel.failovers.Inc()
-	}
-	for _, epc := range j.EPCs() {
-		ctx, cancel := context.WithTimeout(context.Background(), failoverTimeout)
-		r.handoffMu.Lock()
-		if r.resolveLocked(epc) != dead {
-			r.handoffMu.Unlock()
-			cancel()
-			continue
-		}
-		target := r.healthyAmong(epc, dead)
-		if target == nil {
-			r.handoffMu.Unlock()
-			cancel()
-			continue // nowhere to go; the journal keeps the stroke
-		}
-		r.migrateLocked(ctx, epc, target)
-		r.handoffMu.Unlock()
-		cancel()
-	}
-}
-
-// migrateLocked rebuilds one EPC on target from checkpoint + journal
-// replay and pins the override. Caller holds the write lock and owns
-// ctx.
-func (r *Router) migrateLocked(ctx context.Context, epc string, target *routerBackend) {
-	j := r.journal
-	state, covered := j.Checkpoint(epc)
-	if state != nil {
-		if err := target.b.Restore(ctx, epc, state); err != nil {
-			target.fail(err)
-			return
-		}
-	} else if opts, ok := j.Options(epc); ok {
-		if err := target.b.Open(ctx, epc, opts); err != nil && !errors.Is(err, ErrSessionLimit) {
-			target.fail(err)
-			return
-		}
-	}
-	if replay := j.Replay(epc, covered); len(replay) > 0 {
-		target.dispatched.Add(uint64(len(replay)))
-		if err := target.b.DispatchBatch(ctx, replay); err != nil {
-			target.dropped.Add(uint64(len(replay)))
-			target.fail(err)
-			return
-		}
-	}
-	target.ok()
-	r.setOverrideLocked(epc, target)
-	if r.tel != nil {
-		r.tel.migrations.Inc()
-	}
-}
-
-// Handoff gracefully moves one EPC's live session to the named backend:
-// export from the current owner, restore on the target, pin the
-// override — the membership-change path, no shard death required. The
-// exported snapshot covers every sample dispatched before the call, so
-// no replay is needed. With a journal attached the snapshot is also
-// saved as the EPC's checkpoint. On a failed restore the session is
-// put back on the old owner.
-func (r *Router) Handoff(ctx context.Context, epc, backend string) error {
-	r.handoffMu.Lock()
-	defer r.handoffMu.Unlock()
-	var to *routerBackend
-	for _, rb := range r.backends {
-		if rb.name == backend {
-			to = rb
-			break
-		}
-	}
-	if to == nil {
-		return fmt.Errorf("router: unknown backend %q", backend)
-	}
-	from := r.resolveLocked(epc)
-	if from == to {
-		return nil
-	}
-	state, err := from.b.Export(ctx, epc)
-	if err != nil {
-		return fmt.Errorf("router: backend %s: %w", from.name, err)
-	}
-	if j := r.journal; j != nil {
-		if covered, cerr := core.SnapshotCovered(state); cerr == nil {
-			_ = j.SaveCheckpoint(epc, covered, state)
-		}
-	}
-	if err := to.b.Restore(ctx, epc, state); err != nil {
-		if rerr := from.b.Restore(context.WithoutCancel(ctx), epc, state); rerr != nil {
-			return errors.Join(
-				fmt.Errorf("router: backend %s: %w", to.name, err),
-				fmt.Errorf("router: backend %s: restore-back: %w", from.name, rerr))
-		}
-		return fmt.Errorf("router: backend %s: %w", to.name, err)
-	}
-	r.setOverrideLocked(epc, to)
-	if r.tel != nil {
-		r.tel.migrations.Inc()
-	}
-	return nil
 }
 
 // Epoch returns the latest applied membership epoch (0 until the first
@@ -972,10 +789,10 @@ func (r *Router) Membership() Membership {
 //   - Members the router doesn't know are dialed (SetDialer) and
 //     joined; their rendezvous share starts immediately if active.
 //   - Members marked draining stop taking new EPCs and have every live
-//     session they serve migrated to a healthy target (Handoff-style
-//     export/restore; journal checkpoint+replay when the backend can't
-//     export). They stay members — an operator removes them with a
-//     later epoch once their drain is confirmed.
+//     session they serve moved to a healthy target, as Handoff moves
+//     one (journal rebuild when the backend can't export). They stay
+//     members — an operator removes them with a later epoch once their
+//     drain is confirmed.
 //   - Current backends absent from the table leave: they are drained
 //     the same way and then detached (shardrpc transports) or closed
 //     (in-process backends) once they own nothing.
@@ -1070,32 +887,21 @@ func (r *Router) ApplyMembership(ctx context.Context, m Membership) error {
 	}
 	// Joins shift rendezvous winners, but a mid-stroke session's decode
 	// state lives where its samples have been flowing: re-routing it
-	// without a migration would silently fork the stroke. Pin every
-	// live EPC to its current owner before the swap; the pin releases
-	// when the stroke ends (strokeDone), and drains migrate pins
-	// properly. Only EPCs the new table would actually move end up
-	// pinned.
+	// without a move would silently fork the stroke. So every EPC the
+	// new table would move is pinned to its current owner until the
+	// stroke ends (strokeDone) or a drain moves it.
 	pins := make(map[string]*routerBackend)
 	for _, rb := range r.backends {
-		if st, err := rb.b.Stats(ctx); err == nil {
-			for _, s := range st {
-				if r.overrides[s.EPC] == nil && r.resolveLocked(s.EPC) == rb {
-					pins[s.EPC] = rb
-				}
-			}
-		}
-	}
-	if j := r.journal; j != nil {
-		for _, epc := range j.EPCs() {
-			if r.overrides[epc] == nil && pins[epc] == nil {
-				pins[epc] = r.resolveLocked(epc)
+		for _, epc := range r.servedLocked(ctx, rb) {
+			if r.overrides[epc] == nil {
+				pins[epc] = rb
 			}
 		}
 	}
 	r.backends = next
 	r.epoch = m.Epoch
 	for epc, rb := range pins {
-		if rb != nil && r.backendFor(epc) != rb {
+		if r.backendFor(epc) != rb {
 			r.setOverrideLocked(epc, rb)
 		}
 	}
@@ -1138,107 +944,6 @@ func (r *Router) ApplyMembership(ctx context.Context, m Membership) error {
 
 	r.hub.Publish(Event{Kind: EventMembership, Epoch: m.Epoch, Members: m.Members})
 	return errors.Join(errs...)
-}
-
-// drainBackend migrates every session rb serves to healthy targets.
-// The enumeration, the per-EPC pins, and the draining flip happen
-// under one write-lock critical section: dispatch traffic holds the
-// read side, so every sample dispatched before the flip is visible to
-// the backend's Stats, and every EPC found is pinned to rb BEFORE the
-// flip re-routes the rendezvous — an un-pinned EPC would silently
-// re-route mid-stroke with its decode state left behind. Each pinned
-// EPC keeps flowing to rb until its own drainEPC migration completes.
-func (r *Router) drainBackend(ctx context.Context, rb *routerBackend) error {
-	r.handoffMu.Lock()
-	epcs := make(map[string]bool)
-	st, err := rb.b.Stats(ctx)
-	if err == nil {
-		for _, s := range st {
-			epcs[s.EPC] = true
-		}
-	}
-	// An unreachable backend can't enumerate its sessions; the journal
-	// (when attached) remembers the strokes routed to it, and drainEPC
-	// falls back to checkpoint+replay for the ones Export can't serve.
-	if j := r.journal; j != nil {
-		for _, epc := range j.EPCs() {
-			if r.resolveLocked(epc) == rb {
-				epcs[epc] = true
-			}
-		}
-	}
-	for epc, owner := range r.overrides {
-		if owner == rb {
-			epcs[epc] = true
-		}
-	}
-	for epc := range epcs {
-		if r.overrides[epc] == nil && r.resolveLocked(epc) == rb {
-			r.setOverrideLocked(epc, rb)
-		}
-	}
-	rb.state.Store(int32(StateDraining))
-	r.handoffMu.Unlock()
-
-	var errs []error
-	for epc := range epcs {
-		if err := r.drainEPC(ctx, epc, rb); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// drainEPC moves one live session off a draining backend: export from
-// rb, restore on the healthiest target, re-pin — the Handoff path,
-// holding the write lock so no sample slips through mid-move. When rb
-// can't export (already lost the session, or unreachable) the journal
-// rebuild path (migrateLocked) recovers the stroke instead.
-func (r *Router) drainEPC(ctx context.Context, epc string, from *routerBackend) error {
-	r.handoffMu.Lock()
-	defer r.handoffMu.Unlock()
-	if r.resolveLocked(epc) != from {
-		return nil // finalized or already migrated meanwhile
-	}
-	to := r.healthyAmong(epc, from)
-	if to == nil {
-		return fmt.Errorf("router: drain %s: %s: %w: no healthy target", from.name, epc, ErrBackendUnavailable)
-	}
-	state, err := from.b.Export(ctx, epc)
-	if err != nil {
-		if j := r.journal; j != nil {
-			if st, covered := j.Checkpoint(epc); st != nil || len(j.Replay(epc, covered)) > 0 {
-				r.migrateLocked(ctx, epc, to)
-				return nil
-			}
-			if _, ok := j.Options(epc); ok {
-				r.migrateLocked(ctx, epc, to)
-				return nil
-			}
-		}
-		if errors.Is(err, ErrUnknownEPC) {
-			// Nothing live and nothing journaled: the session ended
-			// between enumeration and now. Drop the pin.
-			delete(r.overrides, epc)
-			return nil
-		}
-		return fmt.Errorf("router: drain %s: %s: %w", from.name, epc, err)
-	}
-	if j := r.journal; j != nil {
-		if covered, cerr := core.SnapshotCovered(state); cerr == nil {
-			_ = j.SaveCheckpoint(epc, covered, state)
-		}
-	}
-	if err := to.b.Restore(ctx, epc, state); err != nil {
-		if rerr := from.b.Restore(context.WithoutCancel(ctx), epc, state); rerr != nil {
-			return errors.Join(
-				fmt.Errorf("router: drain %s: %s: %w", to.name, epc, err),
-				fmt.Errorf("router: drain %s: %s: restore-back: %w", from.name, epc, rerr))
-		}
-		return fmt.Errorf("router: drain %s: %s: %w", to.name, epc, err)
-	}
-	r.setOverrideLocked(epc, to)
-	return nil
 }
 
 // removeBackend takes rb out of the routing table, refusing when any
@@ -1326,22 +1031,11 @@ func (r *Router) Dispatch(ctx context.Context, smp reader.Sample) error {
 	r.handoffMu.RLock()
 	defer r.handoffMu.RUnlock()
 	rb := r.resolveLocked(smp.EPC)
-	if !rb.healthy() && !r.anyHealthyLocked() && !r.admitTrialLocked(rb) {
-		rb.dropped.Add(1)
-		return fmt.Errorf("router: backend %s: %w: every backend unhealthy", rb.name, ErrBackendUnavailable)
+	if err := r.admitLocked(rb, 1); err != nil {
+		return err
 	}
 	if a := r.admission; a != nil {
-		if !a.admitBackend(rb) {
-			rb.shed.Add(1)
-			r.telShed(1)
-			return fmt.Errorf("router: backend %s: %w: in-flight budget exhausted", rb.name, ErrOverloaded)
-		}
 		defer a.releaseBackend(rb)
-		if !a.admitRate(1) {
-			rb.shed.Add(1)
-			r.telShed(1)
-			return fmt.Errorf("router: backend %s: %w: sample rate exceeded", rb.name, ErrOverloaded)
-		}
 	}
 	if r.journal != nil {
 		if err := r.journalAppend(smp); err != nil {
@@ -1367,12 +1061,33 @@ func (r *Router) Dispatch(ctx context.Context, smp reader.Sample) error {
 	return nil
 }
 
-// telShed counts admission sheds into the telemetry registry (the
-// per-backend shed atomics are the Health-snapshot source either way).
-func (r *Router) telShed(n int) {
+// admitLocked runs the pre-journal guards (see Dispatch) for n samples
+// bound for rb. On nil with admission on, the caller holds an
+// in-flight slot and must release it.
+func (r *Router) admitLocked(rb *routerBackend, n int) error {
+	if !rb.healthy() && !r.anyHealthyLocked() && !r.admitTrialLocked(rb) {
+		rb.dropped.Add(uint64(n))
+		return fmt.Errorf("router: backend %s: %w: every backend unhealthy", rb.name, ErrBackendUnavailable)
+	}
+	a := r.admission
+	if a == nil {
+		return nil
+	}
+	why := ""
+	if !a.admitBackend(rb) {
+		why = "in-flight budget exhausted"
+	} else if !a.admitRate(n) {
+		a.releaseBackend(rb)
+		why = "sample rate exceeded"
+	}
+	if why == "" {
+		return nil
+	}
+	rb.shed.Add(uint64(n))
 	if r.tel != nil {
 		r.tel.sheds.Add(int64(n))
 	}
+	return fmt.Errorf("router: backend %s: %w: %s", rb.name, ErrOverloaded, why)
 }
 
 // journalAppend appends one sample to the WAL, timing it when
@@ -1429,33 +1144,13 @@ func (r *Router) DispatchBatch(ctx context.Context, batch []reader.Sample) error
 		}
 		parts[i].sub = append(parts[i].sub, smp)
 	}
-	// Each sub-batch passes the same pre-journal guards as Dispatch
-	// (fail-fast when the whole cluster is down, admission control),
-	// shed or refused whole so no EPC's sample order is split across an
-	// accept/reject boundary. A failing backend drops only its own
-	// sub-batch; the rest still dispatch. The joined errors are
-	// returned.
+	// Each sub-batch passes Dispatch's pre-journal guards whole, so no
+	// EPC's sample order is split across an accept/reject boundary.
 	var errs []error
 	for _, p := range parts {
-		if !p.rb.healthy() && !r.anyHealthyLocked() && !r.admitTrialLocked(p.rb) {
-			p.rb.dropped.Add(uint64(len(p.sub)))
-			errs = append(errs, fmt.Errorf("router: backend %s: %w: every backend unhealthy", p.rb.name, ErrBackendUnavailable))
+		if err := r.admitLocked(p.rb, len(p.sub)); err != nil {
+			errs = append(errs, err)
 			continue
-		}
-		if a := r.admission; a != nil {
-			if !a.admitBackend(p.rb) {
-				p.rb.shed.Add(uint64(len(p.sub)))
-				r.telShed(len(p.sub))
-				errs = append(errs, fmt.Errorf("router: backend %s: %w: in-flight budget exhausted", p.rb.name, ErrOverloaded))
-				continue
-			}
-			if !a.admitRate(len(p.sub)) {
-				a.releaseBackend(p.rb)
-				p.rb.shed.Add(uint64(len(p.sub)))
-				r.telShed(len(p.sub))
-				errs = append(errs, fmt.Errorf("router: backend %s: %w: sample rate exceeded", p.rb.name, ErrOverloaded))
-				continue
-			}
 		}
 		if r.journal != nil {
 			var jerr error
