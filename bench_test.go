@@ -14,8 +14,6 @@
 package polardraw
 
 import (
-	"context"
-	"fmt"
 	"testing"
 
 	"polardraw/internal/core"
@@ -29,7 +27,6 @@ import (
 	"polardraw/internal/rf"
 	"polardraw/internal/session"
 	"polardraw/internal/tag"
-	"polardraw/internal/telemetry"
 )
 
 // benchLetters is the letter subset used by sweep benchmarks (the full
@@ -612,226 +609,6 @@ func BenchmarkSessionServer(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(samples)), "samples/op")
 	b.ReportMetric(float64(len(scenes)), "pens/op")
-}
-
-// BenchmarkShardedServer measures the sharded serving tier: an
-// eight-pen mixed inventory hashed across four shard workers, each
-// demultiplexing into per-pen streaming trackers — the configuration
-// cmd/loadgen scales up.
-func BenchmarkShardedServer(b *testing.B) {
-	rig := motion.DefaultRig()
-	ants := rig.Antennas()
-	ch := &rf.Channel{Reflectors: rf.OfficeReflectors(rig.BoardW)}
-	tag.AD227(1).ApplyTo(ch)
-	letters := []rune{'H', 'E', 'L', 'O', 'W', 'R', 'D', 'S'}
-	scenes := make([]reader.TaggedScene, 0, len(letters))
-	for k, r := range letters {
-		g, _ := font.Lookup(r)
-		path := g.Path().Scale(0.2).Translate(geom.Vec2{X: 0.18, Y: 0.03})
-		sess := motion.Write(path, string(r), motion.Config{Seed: uint64(k + 1)})
-		scenes = append(scenes, reader.TaggedScene{EPC: tag.AD227(uint32(k + 1)).EPC, Scene: sess})
-	}
-	rd := reader.New(reader.Config{Antennas: ants[:], Channel: ch, EPC: scenes[0].EPC, Seed: 1})
-	samples := rd.MultiInventory(scenes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sm := session.NewShardedManager(session.ShardedConfig{
-			Session: session.Config{
-				Tracker: core.Config{Antennas: ants, Window: 0.3, CommitLag: 16},
-			},
-			Shards: 4,
-		})
-		if err := sm.DispatchBatch(context.Background(), samples); err != nil {
-			b.Fatal(err)
-		}
-		results, err := sm.Close(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(results) != len(scenes) {
-			b.Fatalf("decoded %d of %d pens", len(results), len(scenes))
-		}
-	}
-	b.ReportMetric(float64(len(samples)), "samples/op")
-	b.ReportMetric(float64(len(scenes)), "pens/op")
-	b.ReportMetric(4, "shards/op")
-}
-
-// BenchmarkDispatchWAL measures what the durability journal costs on
-// the dispatch path: the same eight-pen sharded decode as
-// BenchmarkShardedServer run bare, with the in-memory WAL, and with
-// the file WAL (fsync only at checkpoints and close, so the file
-// variant is dominated by buffered writes, not the disk).
-func BenchmarkDispatchWAL(b *testing.B) {
-	rig := motion.DefaultRig()
-	ants := rig.Antennas()
-	ch := &rf.Channel{Reflectors: rf.OfficeReflectors(rig.BoardW)}
-	tag.AD227(1).ApplyTo(ch)
-	letters := []rune{'H', 'E', 'L', 'O', 'W', 'R', 'D', 'S'}
-	scenes := make([]reader.TaggedScene, 0, len(letters))
-	for k, r := range letters {
-		g, _ := font.Lookup(r)
-		path := g.Path().Scale(0.2).Translate(geom.Vec2{X: 0.18, Y: 0.03})
-		sess := motion.Write(path, string(r), motion.Config{Seed: uint64(k + 1)})
-		scenes = append(scenes, reader.TaggedScene{EPC: tag.AD227(uint32(k + 1)).EPC, Scene: sess})
-	}
-	rd := reader.New(reader.Config{Antennas: ants[:], Channel: ch, EPC: scenes[0].EPC, Seed: 1})
-	samples := rd.MultiInventory(scenes)
-
-	run := func(b *testing.B, journal func(b *testing.B) session.Journal) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			sm := session.NewShardedManager(session.ShardedConfig{
-				Session: session.Config{
-					Tracker: core.Config{Antennas: ants, Window: 0.3, CommitLag: 16},
-				},
-				Shards: 4,
-			})
-			if journal != nil {
-				sm.Router().SetJournal(journal(b))
-			}
-			if err := sm.DispatchBatch(context.Background(), samples); err != nil {
-				b.Fatal(err)
-			}
-			results, err := sm.Close(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(results) != len(scenes) {
-				b.Fatalf("decoded %d of %d pens", len(results), len(scenes))
-			}
-		}
-		b.ReportMetric(float64(len(samples)), "samples/op")
-	}
-
-	b.Run("off", func(b *testing.B) { run(b, nil) })
-	b.Run("mem", func(b *testing.B) {
-		run(b, func(b *testing.B) session.Journal { return session.NewMemJournal(0) })
-	})
-	b.Run("file", func(b *testing.B) {
-		dir := b.TempDir()
-		n := 0
-		run(b, func(b *testing.B) session.Journal {
-			n++
-			j, err := session.NewFileJournal(fmt.Sprintf("%s/wal-%d.log", dir, n), 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return j
-		})
-	})
-}
-
-// BenchmarkDispatchAdmission measures what ingress admission control
-// costs on the dispatch path: the same eight-pen sharded decode as
-// BenchmarkShardedServer run with admission off and with both limits
-// armed but sized to admit everything — so the delta is the pure
-// bookkeeping overhead (one token-bucket take plus two in-flight
-// counter updates per dispatch), not shedding.
-func BenchmarkDispatchAdmission(b *testing.B) {
-	rig := motion.DefaultRig()
-	ants := rig.Antennas()
-	ch := &rf.Channel{Reflectors: rf.OfficeReflectors(rig.BoardW)}
-	tag.AD227(1).ApplyTo(ch)
-	letters := []rune{'H', 'E', 'L', 'O', 'W', 'R', 'D', 'S'}
-	scenes := make([]reader.TaggedScene, 0, len(letters))
-	for k, r := range letters {
-		g, _ := font.Lookup(r)
-		path := g.Path().Scale(0.2).Translate(geom.Vec2{X: 0.18, Y: 0.03})
-		sess := motion.Write(path, string(r), motion.Config{Seed: uint64(k + 1)})
-		scenes = append(scenes, reader.TaggedScene{EPC: tag.AD227(uint32(k + 1)).EPC, Scene: sess})
-	}
-	rd := reader.New(reader.Config{Antennas: ants[:], Channel: ch, EPC: scenes[0].EPC, Seed: 1})
-	samples := rd.MultiInventory(scenes)
-
-	run := func(b *testing.B, adm session.AdmissionConfig) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			sm := session.NewShardedManager(session.ShardedConfig{
-				Session: session.Config{
-					Tracker: core.Config{Antennas: ants, Window: 0.3, CommitLag: 16},
-				},
-				Shards: 4,
-			})
-			sm.Router().SetAdmission(adm)
-			if err := sm.DispatchBatch(context.Background(), samples); err != nil {
-				b.Fatal(err)
-			}
-			results, err := sm.Close(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(results) != len(scenes) {
-				b.Fatalf("decoded %d of %d pens", len(results), len(scenes))
-			}
-			if n := sm.Router().Shed(); n != 0 {
-				b.Fatalf("benchmark shed %d samples; limits must admit everything", n)
-			}
-		}
-		b.ReportMetric(float64(len(samples)), "samples/op")
-	}
-
-	b.Run("off", func(b *testing.B) { run(b, session.AdmissionConfig{}) })
-	b.Run("on", func(b *testing.B) {
-		run(b, session.AdmissionConfig{MaxInFlight: 1 << 20, Rate: 1e9, Burst: 1 << 30})
-	})
-}
-
-// BenchmarkDispatchTelemetry measures what the metrics registry costs
-// on the dispatch path: the same eight-pen sharded decode as
-// BenchmarkShardedServer run with telemetry off (nil registry, nil
-// handles, one nil check per observation) and with a live registry
-// recording every decode, session, and router metric. The CI perf gate
-// pins the on/off delta under 5%.
-func BenchmarkDispatchTelemetry(b *testing.B) {
-	rig := motion.DefaultRig()
-	ants := rig.Antennas()
-	ch := &rf.Channel{Reflectors: rf.OfficeReflectors(rig.BoardW)}
-	tag.AD227(1).ApplyTo(ch)
-	letters := []rune{'H', 'E', 'L', 'O', 'W', 'R', 'D', 'S'}
-	scenes := make([]reader.TaggedScene, 0, len(letters))
-	for k, r := range letters {
-		g, _ := font.Lookup(r)
-		path := g.Path().Scale(0.2).Translate(geom.Vec2{X: 0.18, Y: 0.03})
-		sess := motion.Write(path, string(r), motion.Config{Seed: uint64(k + 1)})
-		scenes = append(scenes, reader.TaggedScene{EPC: tag.AD227(uint32(k + 1)).EPC, Scene: sess})
-	}
-	rd := reader.New(reader.Config{Antennas: ants[:], Channel: ch, EPC: scenes[0].EPC, Seed: 1})
-	samples := rd.MultiInventory(scenes)
-
-	run := func(b *testing.B, newReg func() *telemetry.Registry) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			reg := newReg()
-			sm := session.NewShardedManager(session.ShardedConfig{
-				Session: session.Config{
-					Tracker:   core.Config{Antennas: ants, Window: 0.3, CommitLag: 16},
-					Telemetry: reg,
-				},
-				Shards: 4,
-			})
-			sm.Router().SetTelemetry(reg)
-			if err := sm.DispatchBatch(context.Background(), samples); err != nil {
-				b.Fatal(err)
-			}
-			results, err := sm.Close(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(results) != len(scenes) {
-				b.Fatalf("decoded %d of %d pens", len(results), len(scenes))
-			}
-			if reg != nil {
-				if s := reg.Snapshot(); s.Histograms["polardraw_decode_window_close_seconds"].Count == 0 {
-					b.Fatal("telemetry 'on' recorded no decode windows")
-				}
-			}
-		}
-		b.ReportMetric(float64(len(samples)), "samples/op")
-	}
-
-	b.Run("off", func(b *testing.B) { run(b, func() *telemetry.Registry { return nil }) })
-	b.Run("on", func(b *testing.B) { run(b, telemetry.NewRegistry) })
 }
 
 // BenchmarkStreamTrackerLag is BenchmarkStreamTracker with fixed-lag

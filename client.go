@@ -52,10 +52,8 @@ func Open(ctx context.Context, opts ...Option) (*Client, error) {
 		sess := cfg.sessionConfig()
 		sess.Telemetry = c.tel
 		c.sm = session.NewShardedManager(session.ShardedConfig{
-			Session:      sess,
-			Shards:       cfg.shards,
-			QueueSize:    cfg.shardQueue,
-			DropWhenFull: cfg.drop,
+			Session: sess,
+			Shards:  cfg.shards,
 		})
 		if cfg.journal != nil {
 			c.sm.Router().SetJournal(cfg.journal)
@@ -174,7 +172,8 @@ func (c *Client) DispatchBatch(ctx context.Context, batch []Sample) error {
 
 // Finalize evicts one session and returns its decoded trajectory
 // (ErrUnknownEPC if none; ErrTooFewSamples if the stream was too
-// short).
+// short). On every transport the result covers each sample of the EPC
+// whose dispatch returned before the call.
 func (c *Client) Finalize(ctx context.Context, epc string) (*Result, error) {
 	return c.backend.Finalize(ctx, epc)
 }
@@ -307,16 +306,6 @@ func (c *Client) routerOf() *session.Router {
 // maintenance instead of killing it and paying a crash recovery.
 func (c *Client) Handoff(ctx context.Context, epc, backend string) error {
 	return c.routerOf().Handoff(ctx, epc, backend)
-}
-
-// IngressDropped counts samples discarded at full shard ingress queues
-// (WithDropWhenFull, local mode) — remote shards count drops
-// server-side in their own telemetry.
-func (c *Client) IngressDropped() uint64 {
-	if c.sm != nil {
-		return c.sm.IngressDropped()
-	}
-	return 0
 }
 
 // SamplesLost counts samples that are gone for good (remote mode;

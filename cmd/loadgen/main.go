@@ -17,7 +17,7 @@
 // creation, steady-state decode, and LRU eviction. Window-close
 // latency is measured per pen as the time from the most recent
 // Dispatch to the Point event that a closed window triggers, i.e.
-// ingress queue + session queue + decode time + event delivery (+ both
+// session queue + decode time + event delivery (+ both
 // network hops in remote mode, where the event arrives over the wire).
 //
 // By default samples are offered as fast as the tier accepts them, so
@@ -431,7 +431,6 @@ func main() {
 	if hits, misses, ok := c.StencilCacheStats(); ok {
 		fmt.Printf("stencil cache (grid-wide): hits=%d misses=%d (%.1f%% hit rate)\n",
 			hits, misses, hitRate(hits, misses))
-		fmt.Printf("ingress dropped: %d\n", c.IngressDropped())
 	} else {
 		healthy, unhealthy := c.HealthCounts()
 		fmt.Printf("backends: %d healthy, %d unhealthy; samples lost to transport: %d\n",

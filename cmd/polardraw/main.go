@@ -289,27 +289,11 @@ func serveLLRP(ctx context.Context, sc experiment.Scenario, addr string, sf *pol
 		}
 	}
 
-	// Shard ingress is asynchronous: let the received counters settle
-	// (two identical snapshots 50 ms apart) so the report reflects the
-	// full stream, then close.
+	// A sample is counted when its dispatch enqueues it, so one
+	// snapshot after the last dispatch covers the full stream.
 	stats, err := client.Stats(ctx)
 	if err != nil {
 		return err
-	}
-	for settle := 0; settle < 100; settle++ {
-		time.Sleep(50 * time.Millisecond)
-		next, err := client.Stats(ctx)
-		if err != nil {
-			return err
-		}
-		same := len(next) == len(stats)
-		for i := 0; same && i < len(next); i++ {
-			same = next[i].Received == stats[i].Received
-		}
-		stats = next
-		if same {
-			break
-		}
 	}
 	results, err := client.Close(ctx) // drains the remaining queued reports
 	if err != nil {

@@ -6,8 +6,6 @@ import (
 	"log"
 	"sort"
 
-	"time"
-
 	"polardraw"
 	"polardraw/internal/font"
 	"polardraw/internal/geom"
@@ -105,19 +103,8 @@ func ExampleClient_OpenSession() {
 	if err := c.DispatchBatch(ctx, samples); err != nil {
 		log.Fatal(err)
 	}
-	// Shard ingress is asynchronous: wait until the session has
-	// received the full stream before finalizing it explicitly (Close
-	// would drain implicitly).
-	for {
-		st, err := c.Stats(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if len(st) == 1 && st[0].Received == uint64(len(samples)) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Finalize is ordered after every dispatch that returned before
+	// it, so the result covers the whole stream.
 	res, err := c.Finalize(ctx, epcs[0])
 	if err != nil {
 		log.Fatal(err)
@@ -138,6 +125,10 @@ func ExampleClient_Subscribe() {
 		polardraw.WithAntennas(antennas),
 		polardraw.WithWindow(0.05),
 		polardraw.WithCommitLag(8),
+		// Room for every event of the stroke (it emits fewer events
+		// than samples), so a consumer that falls behind loses none
+		// and the counts below are exact.
+		polardraw.WithEventBuffer(2*len(samples)),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -116,9 +116,7 @@ func main() {
 	}
 	fmt.Printf("streamed %d tag reads over LLRP\n", streamed)
 
-	// Close drains the shard ingress queues and finalizes every
-	// session (ingress is asynchronous, so a Len snapshot here could
-	// still run ahead of session creation).
+	// Close drains every session queue and finalizes every session.
 	results, err := client.Close(ctx)
 	if err != nil {
 		log.Fatal(err)

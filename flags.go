@@ -32,10 +32,9 @@ type Flags struct {
 	Lag      *int
 	TopK     *int
 	Adaptive *bool
-	// Queue, ShardQueue, MaxSessions, Drop, EventBuffer shape
-	// backpressure and fan-out.
+	// Queue, MaxSessions, Drop, EventBuffer shape backpressure and
+	// fan-out.
 	Queue       *int
-	ShardQueue  *int
 	MaxSessions *int
 	Drop        *bool
 	EventBuffer *int
@@ -65,7 +64,6 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 		TopK:        fs.Int("topk", DefaultBeamTopK, "BeamTopK decoder count bound (0 = window-only beam pruning)"),
 		Adaptive:    fs.Bool("adaptive-beam", false, "enable the adaptive top-K controller (requires -topk > 0)"),
 		Queue:       fs.Int("queue", session.DefaultQueueSize, "per-session sample queue size"),
-		ShardQueue:  fs.Int("shardqueue", session.DefaultShardQueue, "per-shard ingress queue size (local shards only)"),
 		MaxSessions: fs.Int("max-sessions", 0, "live-session cap per shard before LRU eviction (0 = default)"),
 		Drop:        fs.Bool("drop", false, "drop samples at full queues instead of blocking"),
 		EventBuffer: fs.Int("eventbuffer", session.DefaultEventBuffer, "per-subscriber event channel capacity"),
@@ -172,7 +170,6 @@ func (f *Flags) Options() ([]Option, error) {
 		WithBeamTopK(*f.TopK),
 		WithAdaptiveBeam(*f.Adaptive),
 		WithSessionQueue(*f.Queue),
-		WithShardQueue(*f.ShardQueue),
 		WithDropWhenFull(*f.Drop),
 		WithEventBuffer(*f.EventBuffer),
 	)

@@ -2,8 +2,6 @@ package session
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"polardraw/internal/core"
@@ -15,8 +13,8 @@ import (
 // demultiplexes it into per-EPC tracking sessions, and can report or
 // finalize them. Three implementations exist:
 //
-//   - LocalBackend: an in-process Manager behind a bounded ingress
-//     queue and dedicated worker (the shard of PR 2's ShardedManager).
+//   - LocalBackend: an in-process Manager, called on the caller's
+//     goroutine; each session's own queue and worker take the decode.
 //   - shardrpc.Client: the same contract spoken over a TCP connection
 //     to a shard server process (shardrpc.Server), for multi-process
 //     and multi-host deployments.
@@ -25,7 +23,7 @@ import (
 //
 // Every method takes a context.Context and honours its deadline and
 // cancellation: an operation that would block — a Dispatch against a
-// full ingress queue, any call against a dead remote — returns
+// full session queue, any call against a dead remote — returns
 // ctx.Err() promptly instead of hanging. Cancelling a call does not
 // corrupt the backend; at worst the operation completes in the
 // background (its outcome still reaches the event stream). Errors are
@@ -34,8 +32,12 @@ import (
 // context errors, and remote backends round-trip the sentinels over
 // the wire, so errors.Is behaves identically across transports.
 //
-// Implementations must preserve per-EPC dispatch order. Methods may be
-// called concurrently.
+// One ordering contract holds on every transport: per-EPC dispatch
+// order is preserved, and Open, Finalize, Export, Restore, EvictIdle
+// and Close are ordered after every Dispatch of the EPCs they touch
+// that returned before them. So a DispatchBatch followed at once by
+// Finalize decodes the whole batch, with no session left behind.
+// Methods may be called concurrently.
 type ShardBackend interface {
 	// Open eagerly creates the EPC's session with per-session decode
 	// options (see Manager.Open for the exact semantics: no silent
@@ -104,116 +106,26 @@ func await[T any](ctx context.Context, fn func() T) (T, error) {
 	}
 }
 
-// LocalConfig parameterizes a LocalBackend.
-type LocalConfig struct {
-	// Session configures the backend's Manager.
-	Session Config
-	// QueueSize bounds the ingress queue (default DefaultShardQueue).
-	QueueSize int
-	// DropWhenFull selects the ingress backpressure policy: false
-	// (default) blocks Dispatch until the worker drains; true drops the
-	// sample and counts it in Dropped.
-	DropWhenFull bool
-}
-
-// LocalBackend is the in-process ShardBackend: one Manager fed by a
-// dedicated worker goroutine draining a bounded ingress queue, so
-// decode work proceeds off the dispatcher's goroutine. Per-EPC order
-// is preserved: the single worker dispatches in arrival order into the
-// session's own queue.
+// LocalBackend is the in-process ShardBackend: a Manager called on
+// the caller's goroutine. Decode stays off that goroutine — each
+// session's own bounded queue and worker take it — and the Manager
+// stops and drains a session's queue before finalizing, exporting or
+// replacing it, so every call is ordered after the EPC's earlier
+// dispatches exactly as on a remote backend.
 type LocalBackend struct {
-	cfg   LocalConfig
-	m     *Manager
-	queue chan reader.Sample
-	flush chan chan struct{}
-	done  chan struct{}
-
-	// mu guards closed against ingress sends, with the same
-	// read-side-enqueue pattern sessions use: Dispatch holds the read
-	// lock while sending, Close takes the write lock before closing
-	// the queue.
-	mu     sync.RWMutex
-	closed bool
-
-	dropped atomic.Uint64
+	m *Manager
 }
 
 // NewLocalBackend builds an in-process backend; zero fields take
 // defaults.
-func NewLocalBackend(cfg LocalConfig) *LocalBackend {
-	return newLocalBackendWith(cfg, core.New(cfg.Session.Tracker))
+func NewLocalBackend(cfg Config) *LocalBackend {
+	return &LocalBackend{m: NewManager(cfg)}
 }
 
 // newLocalBackendWith builds a backend around an existing tracker, so
 // a sharded deployment shares one precomputed HMM grid across shards.
-func newLocalBackendWith(cfg LocalConfig, tr *core.Tracker) *LocalBackend {
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = DefaultShardQueue
-	}
-	lb := &LocalBackend{
-		cfg:   cfg,
-		m:     newManagerWith(cfg.Session, tr),
-		queue: make(chan reader.Sample, cfg.QueueSize),
-		flush: make(chan chan struct{}),
-		done:  make(chan struct{}),
-	}
-	go lb.run()
-	return lb
-}
-
-// run drains the ingress queue into the manager until the queue
-// closes, servicing flush barriers in between.
-func (lb *LocalBackend) run() {
-	defer close(lb.done)
-	for {
-		select {
-		case smp, ok := <-lb.queue:
-			if !ok {
-				return
-			}
-			// ErrClosed impossible: the manager closes only after the
-			// queue is drained.
-			_ = lb.m.Dispatch(smp)
-		case ack := <-lb.flush:
-			// Barrier: dispatch everything queued before acking, so a
-			// subsequent Export/Restore observes every earlier sample.
-			for drained := false; !drained; {
-				select {
-				case smp, ok := <-lb.queue:
-					if !ok {
-						close(ack)
-						return
-					}
-					_ = lb.m.Dispatch(smp)
-				default:
-					drained = true
-				}
-			}
-			close(ack)
-		}
-	}
-}
-
-// drainIngress waits until every sample enqueued before the call has
-// been dispatched into the manager. Returns promptly (without the
-// guarantee) if the backend closes or ctx ends first.
-func (lb *LocalBackend) drainIngress(ctx context.Context) error {
-	ack := make(chan struct{})
-	select {
-	case lb.flush <- ack:
-	case <-lb.done:
-		return nil // Close drained everything already
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	select {
-	case <-ack:
-		return nil
-	case <-lb.done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+func newLocalBackendWith(cfg Config, tr *core.Tracker) *LocalBackend {
+	return &LocalBackend{m: newManagerWith(cfg, tr)}
 }
 
 // Manager exposes the backend's session manager.
@@ -224,62 +136,29 @@ func (lb *LocalBackend) Open(ctx context.Context, epc string, opts OpenOptions) 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	lb.mu.RLock()
-	defer lb.mu.RUnlock()
-	if lb.closed {
-		return ErrClosed
-	}
-	// Samples for the EPC still queued at ingress were dispatched
-	// before the Open and may race the eager create; Manager.Open's
-	// live-EPC no-op keeps both orders coherent (the earlier incarnation
-	// simply wins, exactly as a re-dispatch after an eviction would).
 	return lb.m.Open(epc, opts)
 }
 
-// Dispatch enqueues one sample. With DropWhenFull unset it blocks
-// while the ingress queue is full, returning ctx.Err() if the context
-// ends first.
+// Dispatch enqueues one sample on its session's queue. With
+// DropWhenFull unset it blocks while that queue is full, returning
+// ctx.Err() if the context ends first.
 func (lb *LocalBackend) Dispatch(ctx context.Context, smp reader.Sample) error {
-	lb.mu.RLock()
-	defer lb.mu.RUnlock()
-	if lb.closed {
-		return ErrClosed
-	}
-	if lb.cfg.DropWhenFull {
-		select {
-		case lb.queue <- smp:
-		default:
-			lb.dropped.Add(1)
-		}
-		return nil
-	}
-	select {
-	case lb.queue <- smp:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return lb.m.dispatch(ctx, smp, OpenOptions{})
 }
 
 // DispatchBatch enqueues a batch in order.
 func (lb *LocalBackend) DispatchBatch(ctx context.Context, batch []reader.Sample) error {
 	for _, smp := range batch {
-		if err := lb.Dispatch(ctx, smp); err != nil {
+		if err := lb.m.dispatch(ctx, smp, OpenOptions{}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Dropped counts samples discarded at a full ingress queue
-// (DropWhenFull mode).
-func (lb *LocalBackend) Dropped() uint64 { return lb.dropped.Load() }
-
-// Finalize evicts one session and returns its decoded trajectory.
-// Samples for the EPC still queued at ingress when Finalize runs are
-// not waited for; they re-open a fresh session when the worker reaches
-// them, exactly as a late sample after an eviction would. If ctx ends
-// while the session drains, Finalize returns ctx.Err() and the
+// Finalize evicts one session and returns its decoded trajectory,
+// covering every sample dispatched for the EPC before the call. If ctx
+// ends while the session drains, Finalize returns ctx.Err() and the
 // finalization completes in the background (the result still reaches
 // the event stream).
 func (lb *LocalBackend) Finalize(ctx context.Context, epc string) (*core.Result, error) {
@@ -327,19 +206,9 @@ func (lb *LocalBackend) SubscribeFiltered(ctx context.Context, opts SubscribeOpt
 	return lb.m.SubscribeFiltered(ctx, opts)
 }
 
-// Export removes the EPC's session and returns its serialized state.
-// The ingress queue is drained first so the snapshot covers every
-// sample dispatched before the call.
+// Export removes the EPC's session and returns its serialized state,
+// covering every sample dispatched for the EPC before the call.
 func (lb *LocalBackend) Export(ctx context.Context, epc string) ([]byte, error) {
-	lb.mu.RLock()
-	closed := lb.closed
-	lb.mu.RUnlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	if err := lb.drainIngress(ctx); err != nil {
-		return nil, err
-	}
 	type out struct {
 		state []byte
 		err   error
@@ -355,19 +224,9 @@ func (lb *LocalBackend) Export(ctx context.Context, epc string) ([]byte, error) 
 }
 
 // Restore rebuilds the EPC's session from a snapshot, replacing any
-// live one. The ingress queue is drained first so samples dispatched
-// before the call land in the replaced (pre-snapshot) session rather
-// than being replayed twice into the restored one.
+// live one; samples dispatched before the call land in the replaced
+// session, never in the restored one.
 func (lb *LocalBackend) Restore(ctx context.Context, epc string, state []byte) error {
-	lb.mu.RLock()
-	closed := lb.closed
-	lb.mu.RUnlock()
-	if closed {
-		return ErrClosed
-	}
-	if err := lb.drainIngress(ctx); err != nil {
-		return err
-	}
 	v, err := await(ctx, func() error { return lb.m.Restore(epc, state) })
 	if err != nil {
 		return err
@@ -378,26 +237,15 @@ func (lb *LocalBackend) Restore(ctx context.Context, epc string, state []byte) e
 // EventsDropped counts events shed at full subscriber buffers.
 func (lb *LocalBackend) EventsDropped() uint64 { return lb.m.EventsDropped() }
 
-// Close stops ingress, drains the queue, finalizes all sessions, and
-// returns the decoded results keyed by EPC. Close is idempotent; later
-// calls return (nil, nil). On ctx expiry the drain-and-finalize keeps
-// running in the background and ctx.Err() is returned.
+// Close rejects further calls, finalizes all sessions, and returns the
+// decoded results keyed by EPC. Close is idempotent; later calls
+// return (nil, nil). On ctx expiry the finalize keeps running in the
+// background and ctx.Err() is returned.
 func (lb *LocalBackend) Close(ctx context.Context) (map[string]*core.Result, error) {
-	lb.mu.Lock()
-	if lb.closed {
-		lb.mu.Unlock()
-		return nil, nil
-	}
-	lb.closed = true
-	close(lb.queue)
-	lb.mu.Unlock()
-	// The close is already committed, so the drain-and-finalize must run
-	// regardless of ctx state (await's early-exit would skip it).
+	// Close commits regardless of ctx state (await's early exit would
+	// skip it).
 	done := make(chan map[string]*core.Result, 1)
-	go func() {
-		<-lb.done // ingress fully drained into sessions
-		done <- lb.m.Close()
-	}()
+	go func() { done <- lb.m.Close() }()
 	select {
 	case res := <-done:
 		return res, nil

@@ -68,22 +68,19 @@ func (b *blockingBackend) Close(ctx context.Context) (map[string]*core.Result, e
 
 // TestLocalBackendContext exercises the prompt-cancellation guarantee
 // on the in-process backend under -race: a Dispatch blocked on a
-// wedged pipeline (full session queue behind a stalled window hook,
-// full ingress queue) returns ctx.Err() promptly, as does a Finalize
-// waiting on the wedged worker; already-expired contexts short-circuit
-// the fast control calls.
+// wedged pipeline (full session queue behind a stalled window hook)
+// returns ctx.Err() promptly, as does a Finalize waiting on the wedged
+// worker; already-expired contexts short-circuit the fast control
+// calls.
 func TestLocalBackendContext(t *testing.T) {
 	_, _, ants := penStreams(t, 1, 3)
 
 	blocked := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	lb := NewLocalBackend(LocalConfig{
+	lb := NewLocalBackend(Config{
+		Tracker:   core.Config{Antennas: ants, Window: 0.01},
 		QueueSize: 1,
-		Session: Config{
-			Tracker:   core.Config{Antennas: ants, Window: 0.01},
-			QueueSize: 1,
-		},
 	})
 	lb.m.windowHook = func(string) {
 		once.Do(func() { close(blocked) })
@@ -97,13 +94,13 @@ func TestLocalBackendContext(t *testing.T) {
 	}()
 
 	// Feed samples until the first window closes and the hook wedges the
-	// session worker; from there the queues fill and Dispatch must
-	// block.
+	// session worker; from there the session queue fills and Dispatch
+	// must block.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
 		<-blocked
-		time.Sleep(20 * time.Millisecond) // let the queues actually fill
+		time.Sleep(20 * time.Millisecond) // let the queue actually fill
 		cancel()
 	}()
 	var dispatchErr error

@@ -53,9 +53,9 @@ func TestUnifiedEventStream(t *testing.T) {
 	samples, _, ants := penStreams(t, pens, 77)
 	perEPC := reader.SplitByEPC(samples)
 
-	lb := NewLocalBackend(LocalConfig{Session: Config{
+	lb := NewLocalBackend(Config{
 		Tracker: core.Config{Antennas: ants, Window: 0.2, CommitLag: 8},
-	}})
+	})
 
 	ctx := context.Background()
 	ch, cancel := lb.Subscribe(ctx)

@@ -395,6 +395,12 @@ func (m *Manager) Dispatch(smp reader.Sample) error {
 // with. This is how connect-time client defaults pushed over opHello
 // reach sessions that were never explicitly opened.
 func (m *Manager) DispatchWith(smp reader.Sample, defaults OpenOptions) error {
+	return m.dispatch(context.Background(), smp, defaults)
+}
+
+// dispatch is DispatchWith bounded by ctx: an enqueue blocked on a
+// full session queue returns ctx.Err() once ctx ends.
+func (m *Manager) dispatch(ctx context.Context, smp reader.Sample, defaults OpenOptions) error {
 	for {
 		s, err := m.sessionFor(smp.EPC, defaults)
 		if err != nil {
@@ -406,7 +412,7 @@ func (m *Manager) DispatchWith(smp reader.Sample, defaults OpenOptions) error {
 		if m.tel != nil {
 			m.tel.queueDepth.Observe(depth)
 		}
-		switch err := s.enqueue(smp, m.cfg.DropWhenFull); err {
+		switch err := s.enqueue(ctx, smp, m.cfg.DropWhenFull); err {
 		case nil:
 			s.received.Add(1)
 			return nil
@@ -613,8 +619,9 @@ func (s *session) run() {
 	}
 }
 
-// enqueue adds a sample under the session's backpressure policy.
-func (s *session) enqueue(smp reader.Sample, drop bool) error {
+// enqueue adds a sample under the session's backpressure policy; a
+// blocking enqueue gives up with ctx.Err() when ctx ends.
+func (s *session) enqueue(ctx context.Context, smp reader.Sample, drop bool) error {
 	s.sendMu.RLock()
 	defer s.sendMu.RUnlock()
 	if s.closed {
@@ -628,8 +635,12 @@ func (s *session) enqueue(smp reader.Sample, drop bool) error {
 		}
 		return nil
 	}
-	s.queue <- smp
-	return nil
+	select {
+	case s.queue <- smp:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // stop closes the queue and waits for the worker to drain it.
@@ -769,9 +780,14 @@ func (m *Manager) FinalizeAll() map[string]*core.Result {
 // Close finalizes everything, rejects further dispatches, and ends
 // every event subscription (after the final Evict events are
 // delivered), so a consumer ranging over Subscribe's channel
-// terminates without needing its own cancel.
+// terminates without needing its own cancel. Close is idempotent;
+// later calls return nil.
 func (m *Manager) Close() map[string]*core.Result {
 	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return nil
+	}
 	m.closed = true
 	m.mu.Unlock()
 	out := m.FinalizeAll()

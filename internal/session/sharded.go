@@ -10,11 +10,8 @@ import (
 	"polardraw/internal/reader"
 )
 
-// Defaults for ShardedConfig zero values.
-const (
-	DefaultShards     = 4
-	DefaultShardQueue = 1024
-)
+// DefaultShards is the ShardedConfig.Shards default.
+const DefaultShards = 4
 
 // ShardedConfig parameterizes a ShardedManager.
 type ShardedConfig struct {
@@ -22,16 +19,10 @@ type ShardedConfig struct {
 	// per shard.
 	Session Config
 	// Shards is the number of independent local backends EPCs are
-	// routed across (default 4). Each shard has its own ingress worker,
-	// so decode work for different pens proceeds on up to Shards cores
-	// even when the caller dispatches from a single goroutine.
+	// routed across (default 4). Each shard has its own Manager and
+	// session cap; decode parallelism comes from the per-pen session
+	// workers, not from the shard count.
 	Shards int
-	// QueueSize bounds each shard's ingress queue (default 1024).
-	QueueSize int
-	// DropWhenFull selects the ingress backpressure policy: false
-	// (default) blocks Dispatch until the shard worker drains; true
-	// drops the sample and counts it in IngressDropped.
-	DropWhenFull bool
 }
 
 // ShardedManager is the single-process deployment of the shard
@@ -41,8 +32,8 @@ type ShardedConfig struct {
 // router that fronts multi-process shardrpc backends — routing,
 // ordering, and metrics behave identically; only the transport
 // differs. Per-EPC sample order is preserved end to end: the router
-// sends an EPC to exactly one backend, whose single worker dispatches
-// in arrival order into the session's own queue.
+// sends an EPC to exactly one backend, which enqueues on the caller's
+// goroutine into the session's own queue.
 type ShardedManager struct {
 	cfg     ShardedConfig
 	tracker *core.Tracker
@@ -61,17 +52,10 @@ func NewShardedManager(cfg ShardedConfig) *ShardedManager {
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
 	}
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = DefaultShardQueue
-	}
 	sm := &ShardedManager{cfg: cfg, tracker: core.New(cfg.Session.Tracker)}
 	nbs := make([]NamedBackend, 0, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
-		lb := newLocalBackendWith(LocalConfig{
-			Session:      cfg.Session,
-			QueueSize:    cfg.QueueSize,
-			DropWhenFull: cfg.DropWhenFull,
-		}, sm.tracker)
+		lb := newLocalBackendWith(cfg.Session, sm.tracker)
 		sm.locals = append(sm.locals, lb)
 		nbs = append(nbs, NamedBackend{Name: fmt.Sprintf("shard-%d", i), Backend: lb})
 	}
@@ -81,11 +65,7 @@ func NewShardedManager(cfg ShardedConfig) *ShardedManager {
 	// in-process shards on the same shared tracker (no transport to
 	// dial).
 	sm.router.SetDialer(func(name, _ string) (ShardBackend, error) {
-		lb := newLocalBackendWith(LocalConfig{
-			Session:      cfg.Session,
-			QueueSize:    cfg.QueueSize,
-			DropWhenFull: cfg.DropWhenFull,
-		}, sm.tracker)
+		lb := newLocalBackendWith(cfg.Session, sm.tracker)
 		sm.mu.Lock()
 		sm.locals = append(sm.locals, lb)
 		sm.mu.Unlock()
@@ -121,7 +101,7 @@ func (sm *ShardedManager) Open(ctx context.Context, epc string, opts OpenOptions
 }
 
 // Dispatch routes one sample to its EPC's shard. With DropWhenFull
-// unset it blocks while the shard's ingress queue is full, returning
+// unset it blocks while the session's queue is full, returning
 // ctx.Err() if the context ends first.
 func (sm *ShardedManager) Dispatch(ctx context.Context, smp reader.Sample) error {
 	sm.mu.RLock()
@@ -142,18 +122,6 @@ func (sm *ShardedManager) DispatchBatch(ctx context.Context, batch []reader.Samp
 	return sm.router.DispatchBatch(ctx, batch)
 }
 
-// IngressDropped counts samples discarded at full shard queues
-// (DropWhenFull mode).
-func (sm *ShardedManager) IngressDropped() uint64 {
-	sm.mu.RLock()
-	defer sm.mu.RUnlock()
-	n := uint64(0)
-	for _, lb := range sm.locals {
-		n += lb.Dropped()
-	}
-	return n
-}
-
 // Len returns the number of live sessions across all shards.
 func (sm *ShardedManager) Len() int {
 	sm.mu.RLock()
@@ -170,11 +138,8 @@ func (sm *ShardedManager) Stats(ctx context.Context) ([]Stats, error) {
 	return sm.router.Stats(ctx)
 }
 
-// Finalize evicts one session and returns its decoded trajectory.
-// Samples for the EPC still queued at its shard's ingress when
-// Finalize runs are not waited for; they re-open a fresh session when
-// the worker reaches them, exactly as a late sample after an eviction
-// would.
+// Finalize evicts one session and returns its decoded trajectory,
+// covering every sample dispatched for the EPC before the call.
 func (sm *ShardedManager) Finalize(ctx context.Context, epc string) (*core.Result, error) {
 	return sm.router.Finalize(ctx, epc)
 }
@@ -209,7 +174,7 @@ func (sm *ShardedManager) Restore(ctx context.Context, epc string, state []byte)
 	return sm.router.Restore(ctx, epc, state)
 }
 
-// Close stops ingress, drains every shard queue, finalizes all
+// Close stops ingress, drains every session queue, finalizes all
 // sessions concurrently, and returns the decoded results keyed by
 // EPC (sessions whose streams were too short are omitted; they still
 // reach the event stream with their error). Further

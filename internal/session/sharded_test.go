@@ -14,7 +14,7 @@ import (
 // TestShardedDemuxMatchesBatch pushes a mixed multi-pen stream through
 // the sharded tier and requires, per EPC, exactly the batch-track
 // result for that EPC's sub-stream — the same contract the flat
-// Manager honours, now across shard ingress queues and workers.
+// Manager honours, now across shards.
 func TestShardedDemuxMatchesBatch(t *testing.T) {
 	const pens = 6
 	samples, _, ants := penStreams(t, pens, 9)
@@ -83,13 +83,10 @@ func TestShardedStatsAndEviction(t *testing.T) {
 	if err := sm.DispatchBatch(context.Background(), samples); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the shard workers to drain so every session exists.
-	deadline := time.Now().Add(5 * time.Second)
-	for sm.Len() != pens {
-		if time.Now().After(deadline) {
-			t.Fatalf("sessions = %d, want %d", sm.Len(), pens)
-		}
-		time.Sleep(time.Millisecond)
+	// Dispatch enqueues on the caller's goroutine: once it returns,
+	// every session exists and EvictIdle below covers every sample.
+	if sm.Len() != pens {
+		t.Fatalf("sessions = %d, want %d", sm.Len(), pens)
 	}
 	st, err := sm.Stats(context.Background())
 	if err != nil {
@@ -132,9 +129,9 @@ func TestShardedJoinLeaveRace(t *testing.T) {
 		Session: Config{
 			Tracker:     core.Config{Antennas: ants, Window: 0.3},
 			EventBuffer: 1 << 12, // never shed: every eviction must arrive
+			QueueSize:   64,
 		},
-		Shards:    3,
-		QueueSize: 64,
+		Shards: 3,
 	})
 	ch, cancel := sm.SubscribeFiltered(context.Background(),
 		SubscribeOptions{Kinds: []EventKind{EventEvict}})
@@ -164,7 +161,7 @@ func TestShardedJoinLeaveRace(t *testing.T) {
 			}
 			if i%3 == 0 {
 				// Leave mid-stream from the pen's own goroutine: the
-				// result covers whatever the shard worker had drained.
+				// result covers every sample dispatched so far.
 				sm.Finalize(context.Background(), epc)
 			}
 		}(i, epc)
@@ -210,29 +207,6 @@ func TestShardedJoinLeaveRace(t *testing.T) {
 		if !finalized[epc] {
 			t.Errorf("EPC %s never published an Evict event", epc)
 		}
-	}
-}
-
-// TestShardedDropWhenFull verifies lossy ingress backpressure: a tiny
-// shard queue with a slow consumer must drop rather than block.
-func TestShardedDropWhenFull(t *testing.T) {
-	samples, _, ants := penStreams(t, 2, 17)
-	sm := NewShardedManager(ShardedConfig{
-		Session:      Config{Tracker: core.Config{Antennas: ants}, DropWhenFull: true},
-		Shards:       1,
-		QueueSize:    1,
-		DropWhenFull: true,
-	})
-	for _, smp := range samples {
-		if err := sm.Dispatch(context.Background(), smp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sm.Close(context.Background())
-	// With a one-deep ingress queue some samples must have been shed;
-	// the exact count is timing-dependent.
-	if sm.IngressDropped() == 0 {
-		t.Log("note: no ingress drops observed (fast consumer); counter still reachable")
 	}
 }
 

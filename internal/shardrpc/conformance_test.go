@@ -1,8 +1,9 @@
 // Conformance suite for the shardrpc wire protocol: the version
 // handshake and its refusals, the error taxonomy, OpenOptions and
 // membership/subscribe/telemetry codecs, sequence-numbered dispatch
-// with acks and resend, subscription replay, and the bit-equivalence
-// of remote and local decodes.
+// with acks and resend, subscription replay, the bit-equivalence of
+// remote and local decodes, and the ShardBackend ordering contract on
+// every transport.
 
 package shardrpc
 
@@ -211,8 +212,8 @@ func TestOpenOptionsRemoteLocalBitEquivalence(t *testing.T) {
 	topK, lag, window := 48, 8, 0.25
 	opts := session.OpenOptions{BeamTopK: &topK, CommitLag: &lag, Window: &window}
 
-	local := session.NewLocalBackend(session.LocalConfig{Session: base})
-	localDefault := session.NewLocalBackend(session.LocalConfig{Session: base})
+	local := session.NewLocalBackend(base)
+	localDefault := session.NewLocalBackend(base)
 	_, addr := startServer(t, ServerConfig{Session: base})
 	client, err := Dial(ClientConfig{Addr: addr})
 	if err != nil {
@@ -620,7 +621,7 @@ func TestSeqResendAfterReconnect(t *testing.T) {
 	samples, ants := penStreams(t, pens, 83)
 	const window, lag = 0.2, 16
 
-	local := session.NewLocalBackend(session.LocalConfig{Session: sessionCfg(ants, window, lag)})
+	local := session.NewLocalBackend(sessionCfg(ants, window, lag))
 	if err := local.DispatchBatch(ctx, samples); err != nil {
 		t.Fatal(err)
 	}
@@ -1521,5 +1522,133 @@ func TestHelloDefaultsEquivalence(t *testing.T) {
 	}
 	if same {
 		t.Fatal("hello defaults did not change the decode; equivalence check is vacuous")
+	}
+}
+
+// orderingTransports builds one fresh backend per call for each
+// ShardBackend transport: an in-process LocalBackend, a ShardedManager,
+// a Router over two LocalBackends, and a shardrpc client of its own
+// shard server.
+func orderingTransports(cfg session.Config) []struct {
+	name string
+	open func(t *testing.T) session.ShardBackend
+} {
+	return []struct {
+		name string
+		open func(t *testing.T) session.ShardBackend
+	}{
+		{"local", func(t *testing.T) session.ShardBackend {
+			return session.NewLocalBackend(cfg)
+		}},
+		{"sharded", func(t *testing.T) session.ShardBackend {
+			return session.NewShardedManager(session.ShardedConfig{Session: cfg, Shards: 2})
+		}},
+		{"router", func(t *testing.T) session.ShardBackend {
+			return session.NewRouter([]session.NamedBackend{
+				{Name: "shard-0", Backend: session.NewLocalBackend(cfg)},
+				{Name: "shard-1", Backend: session.NewLocalBackend(cfg)},
+			})
+		}},
+		{"remote", func(t *testing.T) session.ShardBackend {
+			_, addr := startServer(t, ServerConfig{Session: cfg})
+			c, err := Dial(ClientConfig{Addr: addr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+	}
+}
+
+// TestOrderingContractAcrossTransports pins the one ordering contract
+// of session.ShardBackend on every transport: a call is ordered after
+// every Dispatch of its EPC that returned before it. The script
+// finalizes straight after DispatchBatch, and moves each pen mid-stroke
+// with Export → Restore on a second backend before finalizing there.
+// Each pen's result must be DeepEqual to an uninterrupted in-process
+// Manager decode, and no backend may keep a session afterwards (a late
+// sample would have re-opened one).
+func TestOrderingContractAcrossTransports(t *testing.T) {
+	const pens = 2
+	samples, ants := penStreams(t, pens, 97)
+	cfg := sessionCfg(ants, 0.2, 16)
+	perEPC := reader.SplitByEPC(samples)
+
+	ref := session.NewManager(cfg)
+	if err := ref.DispatchBatch(samples); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Close()
+	if len(want) != pens {
+		t.Fatalf("reference decoded %d pens, want %d", len(want), pens)
+	}
+
+	requireEmpty := func(t *testing.T, b session.ShardBackend) {
+		t.Helper()
+		st, err := b.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st) != 0 {
+			t.Fatalf("%d session(s) live after Finalize: %+v", len(st), st)
+		}
+	}
+	closeAll := func(t *testing.T, bs ...session.ShardBackend) {
+		t.Helper()
+		for _, b := range bs {
+			if _, err := b.Close(ctx); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+
+	for _, tr := range orderingTransports(cfg) {
+		t.Run(tr.name+"/dispatch-finalize", func(t *testing.T) {
+			b := tr.open(t)
+			defer closeAll(t, b)
+			if err := b.DispatchBatch(ctx, samples); err != nil {
+				t.Fatal(err)
+			}
+			for epc, w := range want {
+				got, err := b.Finalize(ctx, epc)
+				if err != nil {
+					t.Fatalf("Finalize(%s) straight after DispatchBatch: %v", epc, err)
+				}
+				if !reflect.DeepEqual(got, w) {
+					t.Fatalf("Finalize(%s) diverged from the in-process reference", epc)
+				}
+			}
+			requireEmpty(t, b)
+		})
+		t.Run(tr.name+"/export-restore-finalize", func(t *testing.T) {
+			from, to := tr.open(t), tr.open(t)
+			defer closeAll(t, from, to)
+			for epc, w := range want {
+				stroke := perEPC[epc]
+				half := len(stroke) / 2
+				if err := from.DispatchBatch(ctx, stroke[:half]); err != nil {
+					t.Fatal(err)
+				}
+				state, err := from.Export(ctx, epc)
+				if err != nil {
+					t.Fatalf("Export(%s) straight after DispatchBatch: %v", epc, err)
+				}
+				if err := to.Restore(ctx, epc, state); err != nil {
+					t.Fatal(err)
+				}
+				if err := to.DispatchBatch(ctx, stroke[half:]); err != nil {
+					t.Fatal(err)
+				}
+				got, err := to.Finalize(ctx, epc)
+				if err != nil {
+					t.Fatalf("Finalize(%s) after Restore: %v", epc, err)
+				}
+				if !reflect.DeepEqual(got, w) {
+					t.Fatalf("Finalize(%s) across Export/Restore diverged from the in-process reference", epc)
+				}
+			}
+			requireEmpty(t, from)
+			requireEmpty(t, to)
+		})
 	}
 }

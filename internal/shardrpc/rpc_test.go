@@ -82,7 +82,7 @@ func TestRemoteLocalEquivalence(t *testing.T) {
 	samples, ants := penStreams(t, pens, 31)
 	const window, lag = 0.2, 16
 
-	local := session.NewLocalBackend(session.LocalConfig{Session: sessionCfg(ants, window, lag)})
+	local := session.NewLocalBackend(sessionCfg(ants, window, lag))
 	_, addr := startServer(t, ServerConfig{Session: sessionCfg(ants, window, lag)})
 	client, err := Dial(ClientConfig{Addr: addr})
 	if err != nil {
@@ -96,37 +96,9 @@ func TestRemoteLocalEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Finalize one pen explicitly over both transports. The local
-	// backend's ingress is asynchronous, so drain it first (Close-less
-	// barrier: dispatch order is preserved, so once stats show all
-	// samples arrived, Finalize sees the full stream).
-	perEPC := reader.SplitByEPC(samples)
+	// Finalize one pen explicitly over both transports, straight after
+	// the dispatch: both order it after the pen's samples.
 	probe := samples[0].EPC
-	waitReceived := func(stats func() ([]session.Stats, error)) {
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			st, err := stats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got uint64
-			for _, s := range st {
-				if s.EPC == probe {
-					got = s.Received
-				}
-			}
-			if got == uint64(len(perEPC[probe])) {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("probe EPC never fully arrived (%d/%d)", got, len(perEPC[probe]))
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	waitReceived(func() ([]session.Stats, error) { return local.Stats(ctx) })
-	waitReceived(func() ([]session.Stats, error) { return client.Stats(ctx) })
-
 	wantProbe, err := local.Finalize(ctx, probe)
 	if err != nil {
 		t.Fatal(err)

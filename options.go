@@ -39,7 +39,6 @@ type clientConfig struct {
 	servers []string // remote mode: shard server addresses
 
 	queueSize   int
-	shardQueue  int
 	maxSessions int
 	drop        bool
 	eventBuffer int
@@ -143,20 +142,15 @@ func WithSessionQueue(n int) Option {
 	return optionFunc(func(c *clientConfig) { c.queueSize = n })
 }
 
-// WithShardQueue bounds each shard's ingress queue (default
-// session.DefaultShardQueue; local shards only).
-func WithShardQueue(n int) Option {
-	return optionFunc(func(c *clientConfig) { c.shardQueue = n })
-}
-
 // WithMaxSessions caps live sessions per shard before LRU eviction
 // (default session.DefaultMaxSessions).
 func WithMaxSessions(n int) Option {
 	return optionFunc(func(c *clientConfig) { c.maxSessions = n })
 }
 
-// WithDropWhenFull selects lossy backpressure: full queues drop and
-// count samples instead of blocking the dispatcher.
+// WithDropWhenFull selects lossy backpressure: a full session queue
+// drops and counts the sample (Stats.QueueDropped) instead of blocking
+// the dispatcher.
 func WithDropWhenFull(on bool) Option {
 	return optionFunc(func(c *clientConfig) { c.drop = on })
 }

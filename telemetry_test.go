@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"polardraw"
+	"polardraw/internal/tag"
 )
 
 // TestClusterStats is the telemetry aggregation acceptance: a client
@@ -18,7 +19,7 @@ import (
 // client nor a single shard recorded alone.
 func TestClusterStats(t *testing.T) {
 	const pens = 8
-	samples, _, antennas := penScene(pens, 73)
+	samples, epcs, antennas := penScene(pens, 73)
 	ctx := context.Background()
 
 	decode := []polardraw.Option{
@@ -43,6 +44,7 @@ func TestClusterStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spreadPens(t, c, samples, epcs)
 	if err := c.DispatchBatch(ctx, samples); err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +83,50 @@ func TestClusterStats(t *testing.T) {
 
 	if _, err := c.Close(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// spreadPens relabels pens so that every backend of c owns at least
+// one. Rendezvous placement hashes the backends' names — for shard
+// servers, their ephemeral ports — so without it all pens land on one
+// shard in a small fraction of runs. A pen moves by taking the first
+// unused tag EPC that the empty backend owns.
+func spreadPens(t *testing.T, c *polardraw.Client, samples []polardraw.Sample, epcs []string) {
+	t.Helper()
+	owners := map[string][]string{}
+	for _, epc := range epcs {
+		b := c.BackendFor(epc)
+		owners[b] = append(owners[b], epc)
+	}
+	next := uint32(len(epcs) + 1)
+	for _, h := range c.Health() {
+		if len(owners[h.Name]) > 0 {
+			continue
+		}
+		var from string
+		for b, own := range owners {
+			if len(own) > 1 {
+				from = b
+				break
+			}
+		}
+		if from == "" {
+			t.Fatalf("%d pens cannot cover %d backends", len(epcs), len(c.Health()))
+		}
+		old := owners[from][0]
+		owners[from] = owners[from][1:]
+		fresh := tag.AD227(next).EPC
+		for c.BackendFor(fresh) != h.Name {
+			next++
+			fresh = tag.AD227(next).EPC
+		}
+		next++
+		for i := range samples {
+			if samples[i].EPC == old {
+				samples[i].EPC = fresh
+			}
+		}
+		owners[h.Name] = []string{fresh}
 	}
 }
 
