@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"polardraw/internal/core"
@@ -16,26 +15,21 @@ import (
 // Client is the public handle on a PolarDraw serving tier: a mixed
 // multi-pen ingest surface, per-session control, and one unified event
 // stream, over either in-process shards (WithShards) or remote shard
-// servers (WithShardServers). All methods are safe for concurrent use
-// and honour their context's deadline and cancellation.
+// servers (WithShardServers). Both are one rendezvous router over the
+// shard backends; only the transport differs. All methods are safe for
+// concurrent use and honour their context's deadline and cancellation.
 type Client struct {
-	cfg     clientConfig
-	backend session.ShardBackend
-	tel     *telemetry.Registry
+	router *session.Router
+	tel    *telemetry.Registry
 
-	sm     *session.ShardedManager // local mode
-	router *session.Router         // remote mode
-
-	// remotes tracks the live shardrpc connections by backend name.
-	// Membership joins add entries (the router's dialer); leavers are
-	// detached by the router and dropped at the next reconcile.
-	remoteMu sync.Mutex
-	remotes  map[string]*shardrpc.Client // remote mode
+	// tracker is the HMM grid every in-process shard shares; nil in
+	// remote mode, where the servers own their grids.
+	tracker *core.Tracker
 }
 
-// Open builds a client. With no options it runs session.DefaultShards
-// in-process shards on the default rig geometry — tests and examples;
-// real deployments pass WithAntennas plus either WithShards or
+// Open builds a client. With no options it runs four in-process
+// shards on the default rig geometry — tests and examples; real
+// deployments pass WithAntennas plus either WithShards or
 // WithShardServers. Remote mode dials every server up front (honouring
 // ctx) so a misconfigured cluster fails at Open, not at first
 // dispatch; a version-skewed server fails with ErrVersionMismatch.
@@ -47,101 +41,93 @@ func Open(ctx context.Context, opts ...Option) (*Client, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	c := &Client{cfg: cfg, tel: telemetry.NewRegistry()}
+	c := &Client{tel: telemetry.NewRegistry()}
+	// dial builds the backend for one shard, at Open and for every
+	// membership join: a fresh in-process shard on the shared tracker,
+	// or a shardrpc connection to the member's address.
+	var dial func(name, addr string) (session.ShardBackend, error)
+	var nbs []session.NamedBackend
 	if len(cfg.servers) == 0 {
 		sess := cfg.sessionConfig()
 		sess.Telemetry = c.tel
-		c.sm = session.NewShardedManager(session.ShardedConfig{
-			Session: sess,
-			Shards:  cfg.shards,
-		})
-		if cfg.journal != nil {
-			c.sm.Router().SetJournal(cfg.journal)
+		c.tracker = core.New(sess.Tracker)
+		dial = func(string, string) (session.ShardBackend, error) {
+			return session.NewLocalBackend(sess, c.tracker), nil
 		}
-		c.sm.Router().SetAdmission(cfg.admission)
-		c.sm.Router().SetTelemetry(c.tel)
-		sm := c.sm
-		c.tel.GaugeFunc("polardraw_sessions_live", func() float64 {
-			return float64(sm.Len())
-		})
-		c.backend = c.sm
-		return c, nil
-	}
-	c.remotes = make(map[string]*shardrpc.Client, len(cfg.servers))
-	nbs := make([]session.NamedBackend, 0, len(cfg.servers))
-	for _, addr := range cfg.servers {
-		if err := ctx.Err(); err != nil {
-			c.closeRemotes()
-			return nil, err
+		if cfg.shards <= 0 {
+			cfg.shards = defaultShards
 		}
-		rc, err := shardrpc.Dial(shardrpc.ClientConfig{
-			Addr:        addr,
-			EventBuffer: cfg.eventBuffer,
-			Defaults:    cfg.decode,
-			Telemetry:   c.tel,
-		})
-		if err != nil {
-			c.closeRemotes()
-			return nil, fmt.Errorf("polardraw: shard %s: %w", addr, err)
+		for i := 0; i < cfg.shards; i++ {
+			nbs = append(nbs, session.NamedBackend{
+				Name:    fmt.Sprintf("shard-%d", i),
+				Backend: session.NewLocalBackend(sess, c.tracker),
+			})
 		}
-		c.remotes[addr] = rc
-		nbs = append(nbs, session.NamedBackend{Name: addr, Backend: rc})
+	} else {
+		dial = func(_, addr string) (session.ShardBackend, error) {
+			rc, err := shardrpc.Dial(shardrpc.ClientConfig{
+				Addr:        addr,
+				EventBuffer: cfg.eventBuffer,
+				Defaults:    cfg.decode,
+				Telemetry:   c.tel,
+			})
+			if err != nil {
+				return nil, err
+			}
+			return rc, nil
+		}
+		for _, addr := range cfg.servers {
+			var b session.ShardBackend
+			err := ctx.Err()
+			if err == nil {
+				b, err = dial(addr, addr)
+			}
+			if err != nil {
+				// Abandon the connections already dialed.
+				for _, nb := range nbs {
+					_, _ = nb.Backend.Close(context.Background())
+				}
+				return nil, fmt.Errorf("polardraw: shard %s: %w", addr, err)
+			}
+			nbs = append(nbs, session.NamedBackend{Name: addr, Backend: b})
+		}
 	}
 	c.router = session.NewRouter(nbs)
 	c.router.SetEventBuffer(cfg.eventBuffer)
-	// Membership joins dial a fresh shardrpc connection per member; the
-	// member's Addr (its Name when unset) is the dial address.
-	c.router.SetDialer(func(name, addr string) (session.ShardBackend, error) {
-		rc, err := shardrpc.Dial(shardrpc.ClientConfig{
-			Addr:        addr,
-			EventBuffer: cfg.eventBuffer,
-			Defaults:    cfg.decode,
-			Telemetry:   c.tel,
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.remoteMu.Lock()
-		c.remotes[name] = rc
-		c.remoteMu.Unlock()
-		return rc, nil
-	})
+	c.router.SetDialer(dial)
 	if cfg.journal != nil {
 		c.router.SetJournal(cfg.journal)
 	}
 	c.router.SetAdmission(cfg.admission)
 	c.router.SetTelemetry(c.tel)
+	if c.tracker != nil {
+		// Remote shard servers report their own live-session gauge.
+		c.tel.GaugeFunc("polardraw_sessions_live", func() float64 {
+			n, _ := c.router.Len(context.Background())
+			return float64(n)
+		})
+	}
 	if cfg.heartbeat > 0 {
 		c.router.StartHeartbeat(cfg.heartbeat)
 	}
-	c.backend = c.router
 	return c, nil
 }
 
-// closeRemotes abandons already-dialed connections after a failed
-// Open.
-func (c *Client) closeRemotes() {
-	c.remoteMu.Lock()
-	defer c.remoteMu.Unlock()
-	for _, rc := range c.remotes {
-		_, _ = rc.Close(context.Background())
-	}
-	c.remotes = nil
-}
-
-// snapshotRemotes copies the live remote connection set.
-func (c *Client) snapshotRemotes() map[string]*shardrpc.Client {
-	c.remoteMu.Lock()
-	defer c.remoteMu.Unlock()
-	out := make(map[string]*shardrpc.Client, len(c.remotes))
-	for name, rc := range c.remotes {
-		out[name] = rc
+// remotes maps the router's live shardrpc connections by backend name
+// (none in local mode), including members joined through
+// ApplyMembership and leavers still draining.
+func (c *Client) remotes() map[string]*shardrpc.Client {
+	out := make(map[string]*shardrpc.Client)
+	for _, nb := range c.router.NamedBackends() {
+		if rc, ok := nb.Backend.(*shardrpc.Client); ok {
+			out[nb.Name] = rc
+		}
 	}
 	return out
 }
 
 // Remote reports whether the client fronts remote shard servers.
-func (c *Client) Remote() bool { return c.router != nil }
+func (c *Client) Remote() bool { return c.tracker == nil }
 
 // OpenSession eagerly creates the EPC's session with per-session
 // decode options overriding the backend defaults. Unlike the implicit
@@ -155,19 +141,19 @@ func (c *Client) OpenSession(ctx context.Context, epc string, opts ...SessionOpt
 	for _, op := range opts {
 		op.applySession(&o)
 	}
-	return c.backend.Open(ctx, epc, o)
+	return c.router.Open(ctx, epc, o)
 }
 
 // Dispatch routes one sample to its EPC's session, creating the
 // session on first sight. With blocking backpressure (the default) it
 // returns ctx.Err() if the context ends while queues are full.
 func (c *Client) Dispatch(ctx context.Context, smp Sample) error {
-	return c.backend.Dispatch(ctx, smp)
+	return c.router.Dispatch(ctx, smp)
 }
 
 // DispatchBatch routes a batch (e.g. one RO_ACCESS_REPORT) in order.
 func (c *Client) DispatchBatch(ctx context.Context, batch []Sample) error {
-	return c.backend.DispatchBatch(ctx, batch)
+	return c.router.DispatchBatch(ctx, batch)
 }
 
 // Finalize evicts one session and returns its decoded trajectory
@@ -175,18 +161,18 @@ func (c *Client) DispatchBatch(ctx context.Context, batch []Sample) error {
 // short). On every transport the result covers each sample of the EPC
 // whose dispatch returned before the call.
 func (c *Client) Finalize(ctx context.Context, epc string) (*Result, error) {
-	return c.backend.Finalize(ctx, epc)
+	return c.router.Finalize(ctx, epc)
 }
 
 // Stats snapshots every live session across all shards, sorted by EPC.
 func (c *Client) Stats(ctx context.Context) ([]Stats, error) {
-	return c.backend.Stats(ctx)
+	return c.router.Stats(ctx)
 }
 
 // EvictIdle finalizes every session idle for at least maxIdle and
 // returns how many were evicted.
 func (c *Client) EvictIdle(ctx context.Context, maxIdle time.Duration) (int, error) {
-	return c.backend.EvictIdle(ctx, maxIdle)
+	return c.router.EvictIdle(ctx, maxIdle)
 }
 
 // Subscribe attaches a consumer to the unified event stream: window
@@ -196,7 +182,7 @@ func (c *Client) EvictIdle(ctx context.Context, maxIdle time.Duration) (int, err
 // a consumer that falls behind loses events rather than stalling
 // decode. Cancel (or ctx expiry) detaches and closes the channel.
 func (c *Client) Subscribe(ctx context.Context) (<-chan Event, CancelFunc) {
-	return c.backend.Subscribe(ctx)
+	return c.router.Subscribe(ctx)
 }
 
 // SubscribeFiltered is Subscribe narrowed by opts: only events whose
@@ -207,7 +193,7 @@ func (c *Client) Subscribe(ctx context.Context) (<-chan Event, CancelFunc) {
 // consumer watching one pen's commits is not billed the whole tier's
 // fan-out.
 func (c *Client) SubscribeFiltered(ctx context.Context, opts SubscribeOptions) (<-chan Event, CancelFunc) {
-	return c.backend.SubscribeFiltered(ctx, opts)
+	return c.router.SubscribeFiltered(ctx, opts)
 }
 
 // Telemetry exposes the client's metric registry: decode, session,
@@ -231,11 +217,8 @@ func (c *Client) ServeMetrics(addr string) (*MetricsServer, error) {
 // snapshot built from the shards that did answer.
 func (c *Client) ClusterStats(ctx context.Context) (TelemetrySnapshot, error) {
 	agg := c.tel.Snapshot()
-	if c.router == nil {
-		return agg, nil
-	}
 	var errs []error
-	for name, rc := range c.snapshotRemotes() {
+	for name, rc := range c.remotes() {
 		s, err := rc.Telemetry(ctx)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("polardraw: telemetry from %s: %w", name, err))
@@ -249,50 +232,32 @@ func (c *Client) ClusterStats(ctx context.Context) (TelemetrySnapshot, error) {
 // Close stops ingress, drains every shard, finalizes all sessions, and
 // returns the decoded results keyed by EPC (sessions too short to
 // decode are omitted; their Evict events still fire). Close is
-// terminal and idempotent.
+// terminal: afterwards every call fails with ErrClosed, Subscribe
+// returns an already-closed channel, and Close itself returns
+// (nil, nil).
 func (c *Client) Close(ctx context.Context) (map[string]*Result, error) {
-	return c.backend.Close(ctx)
+	return c.router.Close(ctx)
 }
 
 // Len returns the number of live sessions across all shards (remote
 // mode polls every server; ctx bounds the sweep).
-func (c *Client) Len(ctx context.Context) (int, error) {
-	if c.sm != nil {
-		return c.sm.Len(), nil
-	}
-	n := 0
-	for _, rc := range c.snapshotRemotes() {
-		k, err := rc.Len(ctx)
-		if err != nil {
-			return n, err
-		}
-		n += k
-	}
-	return n, nil
-}
+func (c *Client) Len(ctx context.Context) (int, error) { return c.router.Len(ctx) }
 
 // Backends returns the shard backend names in configuration order
 // (shard-N locally, server addresses remotely).
-func (c *Client) Backends() []string { return c.routerOf().Backends() }
+func (c *Client) Backends() []string { return c.router.Backends() }
 
 // BackendFor reports which backend (by Backends name) the EPC
 // currently routes to, including any failover or Handoff override.
-func (c *Client) BackendFor(epc string) string { return c.routerOf().BackendFor(epc) }
+func (c *Client) BackendFor(epc string) string { return c.router.BackendFor(epc) }
 
 // Health snapshots per-backend routing health in configuration order.
-func (c *Client) Health() []BackendHealth { return c.routerOf().Health() }
+func (c *Client) Health() []BackendHealth { return c.router.Health() }
 
 // HealthCounts summarizes Health into healthy/unhealthy backend
 // counts.
 func (c *Client) HealthCounts() (healthy, unhealthy int) {
-	return c.routerOf().HealthCounts()
-}
-
-func (c *Client) routerOf() *session.Router {
-	if c.sm != nil {
-		return c.sm.Router()
-	}
-	return c.router
+	return c.router.HealthCounts()
 }
 
 // Handoff gracefully moves one EPC's live session to the named backend
@@ -305,7 +270,7 @@ func (c *Client) routerOf() *session.Router {
 // replays the journal tail. Use it to move load off a shard before
 // maintenance instead of killing it and paying a crash recovery.
 func (c *Client) Handoff(ctx context.Context, epc, backend string) error {
-	return c.routerOf().Handoff(ctx, epc, backend)
+	return c.router.Handoff(ctx, epc, backend)
 }
 
 // SamplesLost counts samples that are gone for good (remote mode;
@@ -315,7 +280,7 @@ func (c *Client) Handoff(ctx context.Context, epc, backend string) error {
 // and do not count.
 func (c *Client) SamplesLost() uint64 {
 	var n uint64
-	for _, rc := range c.snapshotRemotes() {
+	for _, rc := range c.remotes() {
 		n += rc.Lost()
 	}
 	return n
@@ -325,22 +290,22 @@ func (c *Client) SamplesLost() uint64 {
 // consumer that falls behind loses events rather than stalling decode
 // (see WithEventBuffer). Shed events are gone; the counter is how an
 // operator notices an under-provisioned consumer.
-func (c *Client) EventsDropped() uint64 { return c.routerOf().EventsDropped() }
+func (c *Client) EventsDropped() uint64 { return c.router.EventsDropped() }
 
 // SamplesShed counts dispatches refused with ErrOverloaded by the
 // admission controller (WithAdmission). Shed samples were never
 // journaled or delivered — the caller decides whether to retry, slow
 // down, or drop.
-func (c *Client) SamplesShed() uint64 { return c.routerOf().Shed() }
+func (c *Client) SamplesShed() uint64 { return c.router.Shed() }
 
 // Membership snapshots the current routing table: the latest applied
 // epoch (0 until the first ApplyMembership) and every backend with its
 // state, in routing order.
-func (c *Client) Membership() Membership { return c.routerOf().Membership() }
+func (c *Client) Membership() Membership { return c.router.Membership() }
 
 // Epoch returns the latest applied membership epoch, 0 until the first
 // ApplyMembership.
-func (c *Client) Epoch() uint64 { return c.routerOf().Epoch() }
+func (c *Client) Epoch() uint64 { return c.router.Epoch() }
 
 // ApplyMembership atomically moves the client's routing table to a new
 // epoch-numbered membership, without restarting anything:
@@ -365,30 +330,14 @@ func (c *Client) Epoch() uint64 { return c.routerOf().Epoch() }
 // pushes are joined and returned; the epoch still applies, so retry
 // stragglers with a later epoch.
 func (c *Client) ApplyMembership(ctx context.Context, m Membership) error {
-	err := c.routerOf().ApplyMembership(ctx, m)
-	if err != nil && errors.Is(err, ErrStaleEpoch) {
+	err := c.router.ApplyMembership(ctx, m)
+	if errors.Is(err, ErrStaleEpoch) || errors.Is(err, ErrClosed) {
 		return err
 	}
-	if c.router == nil {
-		return err
-	}
-	// Reconcile the connection map against the applied table: leavers
-	// were already detached by the router, so just drop them.
-	live := make(map[string]bool)
-	for _, mem := range c.router.Membership().Members {
-		live[mem.Name] = true
-	}
-	c.remoteMu.Lock()
-	for name := range c.remotes {
-		if !live[name] {
-			delete(c.remotes, name)
-		}
-	}
-	c.remoteMu.Unlock()
 	// Fan the table out to the members themselves so shard servers can
 	// rebroadcast it on their event streams.
 	errs := []error{err}
-	for name, rc := range c.snapshotRemotes() {
+	for name, rc := range c.remotes() {
 		perr := rc.SetMembership(ctx, m)
 		if perr == nil || errors.Is(perr, ErrStaleEpoch) { // someone beat us to it
 			continue
@@ -402,19 +351,14 @@ func (c *Client) ApplyMembership(ctx context.Context, m Membership) error {
 // cumulative hit/miss counters. Local mode only: remote shards own
 // their grids (ok == false).
 func (c *Client) StencilCacheStats() (hits, misses uint64, ok bool) {
-	if c.sm == nil {
+	if c.tracker == nil {
 		return 0, 0, false
 	}
-	h, m := c.sm.Tracker().StencilCacheStats()
+	h, m := c.tracker.StencilCacheStats()
 	return h, m, true
 }
 
 // Tracker exposes the local tier's shared batch tracker (same grid the
 // sessions use), nil in remote mode. It exists for equivalence tests
 // that compare streamed decodes against batch decodes on one grid.
-func (c *Client) Tracker() *core.Tracker {
-	if c.sm == nil {
-		return nil
-	}
-	return c.sm.Tracker()
-}
+func (c *Client) Tracker() *core.Tracker { return c.tracker }

@@ -116,12 +116,35 @@ func TestClientLocalRemoteParity(t *testing.T) {
 		t.Fatalf("remote health = %+v", h)
 	}
 
-	// Terminal taxonomy via the facade.
-	if err := remote.Dispatch(ctx, samples[0]); err == nil {
-		t.Fatal("dispatch after close succeeded")
-	}
-	if _, err := local.Finalize(ctx, "nobody"); !errors.Is(err, polardraw.ErrClosed) {
-		t.Fatalf("finalize on closed local client: %v, want ErrClosed", err)
+	// One closed-state contract on both topologies: typed ErrClosed,
+	// backend health untouched, an already-closed Subscribe channel and
+	// an idempotent Close.
+	for name, c := range map[string]*polardraw.Client{"local": local, "remote": remote} {
+		if err := c.Dispatch(ctx, samples[0]); !errors.Is(err, polardraw.ErrClosed) {
+			t.Fatalf("%s: dispatch after close: %v, want ErrClosed", name, err)
+		}
+		if _, err := c.Finalize(ctx, "nobody"); !errors.Is(err, polardraw.ErrClosed) {
+			t.Fatalf("%s: finalize after close: %v, want ErrClosed", name, err)
+		}
+		if n, err := c.Len(ctx); n != 0 || !errors.Is(err, polardraw.ErrClosed) {
+			t.Fatalf("%s: Len after close = %d, %v; want 0, ErrClosed", name, n, err)
+		}
+		if h, u := c.HealthCounts(); h != len(c.Backends()) || u != 0 {
+			t.Fatalf("%s: health after post-close calls: %d healthy, %d unhealthy", name, h, u)
+		}
+		events, cancel := c.Subscribe(ctx)
+		select {
+		case _, ok := <-events:
+			if ok {
+				t.Fatalf("%s: Subscribe after close delivered an event", name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: Subscribe after close never closes its channel", name)
+		}
+		cancel()
+		if res, err := c.Close(ctx); res != nil || err != nil {
+			t.Fatalf("%s: second Close = %v, %v; want nil, nil", name, res, err)
+		}
 	}
 }
 

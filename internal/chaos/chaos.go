@@ -237,6 +237,11 @@ func (cb *Backend) Stats(ctx context.Context) ([]session.Stats, error) {
 	return cb.inner.Stats(ctx)
 }
 
+// Len implements ShardBackend (never faulted).
+func (cb *Backend) Len(ctx context.Context) (int, error) {
+	return cb.inner.Len(ctx)
+}
+
 // EvictIdle implements ShardBackend (never faulted).
 func (cb *Backend) EvictIdle(ctx context.Context, maxIdle time.Duration) (int, error) {
 	return cb.inner.EvictIdle(ctx, maxIdle)

@@ -63,7 +63,7 @@ func localRouter(ants [2]rf.Antenna, n int) (*session.Router, []string) {
 		names[i] = fmt.Sprintf("shard-%d", i)
 		nbs[i] = session.NamedBackend{
 			Name:    names[i],
-			Backend: session.NewLocalBackend(session.Config{Tracker: trackerCfg(ants)}),
+			Backend: session.NewLocalBackend(session.Config{Tracker: trackerCfg(ants)}, nil),
 		}
 	}
 	r := session.NewRouter(nbs)
@@ -74,7 +74,7 @@ func localRouter(ants [2]rf.Antenna, n int) (*session.Router, []string) {
 // localDialer joins fresh in-process backends for membership adds.
 func localDialer(ants [2]rf.Antenna) func(name, addr string) (session.ShardBackend, error) {
 	return func(name, addr string) (session.ShardBackend, error) {
-		return session.NewLocalBackend(session.Config{Tracker: trackerCfg(ants)}), nil
+		return session.NewLocalBackend(session.Config{Tracker: trackerCfg(ants)}, nil), nil
 	}
 }
 
@@ -217,7 +217,7 @@ func TestScenarioPartitionDuringHandoff(t *testing.T) {
 	names := []string{"shard-0", "shard-1", "shard-2"}
 	nbs := make([]session.NamedBackend, len(names))
 	for i, n := range names {
-		lb := session.NewLocalBackend(session.Config{Tracker: trackerCfg(ants)})
+		lb := session.NewLocalBackend(session.Config{Tracker: trackerCfg(ants)}, nil)
 		nbs[i] = session.NamedBackend{Name: n, Backend: Wrap(lb, in)}
 	}
 	r := session.NewRouter(nbs)
@@ -336,7 +336,7 @@ func TestScenarioOverloadSheds(t *testing.T) {
 func TestScenarioStallShedsNotBlocks(t *testing.T) {
 	in := New(7, Rule{Op: OpDispatch, Count: 1, Fault: Fault{Stall: 10 * time.Second}})
 	_, ants := penStreams(t, 1, 3)
-	lb := session.NewLocalBackend(session.Config{Tracker: trackerCfg(ants)})
+	lb := session.NewLocalBackend(session.Config{Tracker: trackerCfg(ants)}, nil)
 	cb := Wrap(lb, in)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -366,7 +366,7 @@ func TestScenarioDrainReportsFailedRebuild(t *testing.T) {
 	locals := make([]session.ShardBackend, len(names))
 	probe := make([]session.NamedBackend, len(names))
 	for i, n := range names {
-		locals[i] = session.NewLocalBackend(session.Config{Tracker: trackerCfg(ants)})
+		locals[i] = session.NewLocalBackend(session.Config{Tracker: trackerCfg(ants)}, nil)
 		probe[i] = session.NamedBackend{Name: n, Backend: locals[i]}
 	}
 	// Rendezvous placement depends on the names alone: find the pen's

@@ -15,6 +15,8 @@ import (
 //
 //   - LocalBackend: an in-process Manager, called on the caller's
 //     goroutine; each session's own queue and worker take the decode.
+//     A single-process deployment is a Router over N of them sharing
+//     one core.Tracker.
 //   - shardrpc.Client: the same contract spoken over a TCP connection
 //     to a shard server process (shardrpc.Server), for multi-process
 //     and multi-host deployments.
@@ -38,6 +40,12 @@ import (
 // that returned before them. So a DispatchBatch followed at once by
 // Finalize decodes the whole batch, with no session left behind.
 // Methods may be called concurrently.
+//
+// One closed-state contract holds on every transport too: after Close
+// returns, every method fails with an error satisfying
+// errors.Is(err, ErrClosed) and a Router marks no backend unhealthy
+// for it; Subscribe and SubscribeFiltered return an already-closed
+// channel; and a second Close returns (nil, nil).
 type ShardBackend interface {
 	// Open eagerly creates the EPC's session with per-session decode
 	// options (see Manager.Open for the exact semantics: no silent
@@ -51,6 +59,8 @@ type ShardBackend interface {
 	Finalize(ctx context.Context, epc string) (*core.Result, error)
 	// Stats snapshots every live session, sorted by EPC.
 	Stats(ctx context.Context) ([]Stats, error)
+	// Len counts the live sessions: Stats' length, without snapshots.
+	Len(ctx context.Context) (int, error)
 	// EvictIdle finalizes sessions idle for at least maxIdle.
 	EvictIdle(ctx context.Context, maxIdle time.Duration) (int, error)
 	// Subscribe attaches a consumer to the backend's unified event
@@ -81,7 +91,8 @@ type ShardBackend interface {
 	// exactly where the snapshot left off.
 	Restore(ctx context.Context, epc string, state []byte) error
 	// Close stops ingress, drains, finalizes every session, and returns
-	// the decoded results keyed by EPC. Close is terminal.
+	// the decoded results keyed by EPC. Close is terminal and
+	// idempotent (see the closed-state contract above).
 	Close(ctx context.Context) (map[string]*core.Result, error)
 }
 
@@ -90,18 +101,24 @@ type ShardBackend interface {
 // drain operations and the contract's prompt-cancellation guarantee.
 // When ctx wins, fn keeps running to completion in the background (its
 // effects, e.g. finalized sessions, still reach the event stream).
-func await[T any](ctx context.Context, fn func() T) (T, error) {
+func await[T any](ctx context.Context, fn func() (T, error)) (T, error) {
+	var zero T
 	if err := ctx.Err(); err != nil {
-		var zero T
 		return zero, err
 	}
-	done := make(chan T, 1)
-	go func() { done <- fn() }()
+	type out struct {
+		v   T
+		err error
+	}
+	done := make(chan out, 1)
+	go func() {
+		v, err := fn()
+		done <- out{v, err}
+	}()
 	select {
-	case v := <-done:
-		return v, nil
+	case o := <-done:
+		return o.v, o.err
 	case <-ctx.Done():
-		var zero T
 		return zero, ctx.Err()
 	}
 }
@@ -116,20 +133,29 @@ type LocalBackend struct {
 	m *Manager
 }
 
-// NewLocalBackend builds an in-process backend; zero fields take
-// defaults.
-func NewLocalBackend(cfg Config) *LocalBackend {
-	return &LocalBackend{m: NewManager(cfg)}
-}
-
-// newLocalBackendWith builds a backend around an existing tracker, so
-// a sharded deployment shares one precomputed HMM grid across shards.
-func newLocalBackendWith(cfg Config, tr *core.Tracker) *LocalBackend {
+// NewLocalBackend builds an in-process backend whose sessions decode
+// on tr. Backends built on one tracker share its precomputed HMM grid
+// and stencil cache, which is how a single-process deployment runs N
+// shards for the cost of one grid; a nil tr builds a private one from
+// cfg.Tracker. Zero cfg fields take defaults.
+func NewLocalBackend(cfg Config, tr *core.Tracker) *LocalBackend {
+	if tr == nil {
+		tr = core.New(cfg.Tracker)
+	}
 	return &LocalBackend{m: newManagerWith(cfg, tr)}
 }
 
-// Manager exposes the backend's session manager.
-func (lb *LocalBackend) Manager() *Manager { return lb.m }
+// live fails a call that must not start: its ctx already ended, or
+// the backend is closed.
+func (lb *LocalBackend) live(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if lb.m.isClosed() {
+		return ErrClosed
+	}
+	return nil
+}
 
 // Open eagerly creates the EPC's session with per-session options.
 func (lb *LocalBackend) Open(ctx context.Context, epc string, opts OpenOptions) error {
@@ -162,37 +188,33 @@ func (lb *LocalBackend) DispatchBatch(ctx context.Context, batch []reader.Sample
 // finalization completes in the background (the result still reaches
 // the event stream).
 func (lb *LocalBackend) Finalize(ctx context.Context, epc string) (*core.Result, error) {
-	type out struct {
-		res *core.Result
-		err error
-	}
-	v, err := await(ctx, func() out {
-		res, err := lb.m.Finalize(epc)
-		return out{res, err}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.res, v.err
+	return await(ctx, func() (*core.Result, error) { return lb.m.Finalize(epc) })
 }
 
-// Stats snapshots every live session, sorted by EPC. Local backends
-// fail only on an already-ended context.
+// Stats snapshots every live session, sorted by EPC.
 func (lb *LocalBackend) Stats(ctx context.Context) ([]Stats, error) {
-	if err := ctx.Err(); err != nil {
+	if err := lb.live(ctx); err != nil {
 		return nil, err
 	}
 	return lb.m.Stats(), nil
 }
 
 // Len returns the number of live sessions.
-func (lb *LocalBackend) Len() int { return lb.m.Len() }
+func (lb *LocalBackend) Len(ctx context.Context) (int, error) {
+	if err := lb.live(ctx); err != nil {
+		return 0, err
+	}
+	return lb.m.Len(), nil
+}
 
 // EvictIdle finalizes every session idle for at least maxIdle. On ctx
 // expiry the sweep continues in the background and ctx.Err() is
 // returned.
 func (lb *LocalBackend) EvictIdle(ctx context.Context, maxIdle time.Duration) (int, error) {
-	return await(ctx, func() int { return lb.m.EvictIdle(maxIdle) })
+	if err := lb.live(ctx); err != nil {
+		return 0, err
+	}
+	return await(ctx, func() (int, error) { return lb.m.EvictIdle(maxIdle), nil })
 }
 
 // Subscribe attaches a consumer to the manager's unified event stream.
@@ -209,33 +231,19 @@ func (lb *LocalBackend) SubscribeFiltered(ctx context.Context, opts SubscribeOpt
 // Export removes the EPC's session and returns its serialized state,
 // covering every sample dispatched for the EPC before the call.
 func (lb *LocalBackend) Export(ctx context.Context, epc string) ([]byte, error) {
-	type out struct {
-		state []byte
-		err   error
-	}
-	v, err := await(ctx, func() out {
-		state, err := lb.m.Export(epc)
-		return out{state, err}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.state, v.err
+	return await(ctx, func() ([]byte, error) { return lb.m.Export(epc) })
 }
 
 // Restore rebuilds the EPC's session from a snapshot, replacing any
 // live one; samples dispatched before the call land in the replaced
 // session, never in the restored one.
 func (lb *LocalBackend) Restore(ctx context.Context, epc string, state []byte) error {
-	v, err := await(ctx, func() error { return lb.m.Restore(epc, state) })
-	if err != nil {
-		return err
+	if err := lb.live(ctx); err != nil {
+		return err // before decoding state: ErrClosed beats a bad snapshot
 	}
-	return v
+	_, err := await(ctx, func() (struct{}, error) { return struct{}{}, lb.m.Restore(epc, state) })
+	return err
 }
-
-// EventsDropped counts events shed at full subscriber buffers.
-func (lb *LocalBackend) EventsDropped() uint64 { return lb.m.EventsDropped() }
 
 // Close rejects further calls, finalizes all sessions, and returns the
 // decoded results keyed by EPC. Close is idempotent; later calls
@@ -259,5 +267,4 @@ func (lb *LocalBackend) Close(ctx context.Context) (map[string]*core.Result, err
 var (
 	_ ShardBackend = (*LocalBackend)(nil)
 	_ ShardBackend = (*Router)(nil)
-	_ ShardBackend = (*ShardedManager)(nil)
 )

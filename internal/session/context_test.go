@@ -47,6 +47,9 @@ func (b *blockingBackend) Finalize(ctx context.Context, _ string) (*core.Result,
 func (b *blockingBackend) Stats(ctx context.Context) ([]Stats, error) {
 	return nil, b.wait(ctx)
 }
+func (b *blockingBackend) Len(ctx context.Context) (int, error) {
+	return 0, b.wait(ctx)
+}
 func (b *blockingBackend) EvictIdle(ctx context.Context, _ time.Duration) (int, error) {
 	return 0, b.wait(ctx)
 }
@@ -81,7 +84,7 @@ func TestLocalBackendContext(t *testing.T) {
 	lb := NewLocalBackend(Config{
 		Tracker:   core.Config{Antennas: ants, Window: 0.01},
 		QueueSize: 1,
-	})
+	}, nil)
 	lb.m.windowHook = func(string) {
 		once.Do(func() { close(blocked) })
 		<-release

@@ -192,9 +192,10 @@ type EventHub struct {
 	subs    atomic.Int32
 	dropped atomic.Uint64
 
-	mu   sync.Mutex
-	next int
-	m    map[int]*eventSub
+	mu     sync.Mutex
+	next   int
+	m      map[int]*eventSub
+	closed bool // set by CloseAll: the hub is terminal
 }
 
 type eventSub struct {
@@ -231,6 +232,11 @@ func (h *EventHub) SubscribeFiltered(ctx context.Context, buffer int, opts Subsc
 		s.onRemove = func() { close(stop) }
 	}
 	h.mu.Lock()
+	if h.closed {
+		h.mu.Unlock()
+		close(s.ch)
+		return s.ch, func() {}
+	}
 	if h.m == nil {
 		h.m = make(map[int]*eventSub)
 	}
@@ -269,10 +275,12 @@ func (h *EventHub) remove(s *eventSub) {
 	})
 }
 
-// closeAll detaches every subscriber (used by terminal Close paths so
-// consumers' range loops end).
+// CloseAll detaches every subscriber, so consumers' range loops end,
+// and makes the hub terminal: a later subscription gets an
+// already-closed channel. Terminal Close paths call it.
 func (h *EventHub) CloseAll() {
 	h.mu.Lock()
+	h.closed = true
 	subs := make([]*eventSub, 0, len(h.m))
 	for _, s := range h.m {
 		subs = append(subs, s)

@@ -55,7 +55,7 @@ func TestUnifiedEventStream(t *testing.T) {
 
 	lb := NewLocalBackend(Config{
 		Tracker: core.Config{Antennas: ants, Window: 0.2, CommitLag: 8},
-	})
+	}, nil)
 
 	ctx := context.Background()
 	ch, cancel := lb.Subscribe(ctx)
@@ -151,10 +151,7 @@ func TestRouterEventMergeAndHealth(t *testing.T) {
 	const pens = 4
 	samples, _, ants := penStreams(t, pens, 83)
 
-	sm := NewShardedManager(ShardedConfig{
-		Session: Config{Tracker: core.Config{Antennas: ants, Window: 0.2}},
-		Shards:  3,
-	})
+	sm := localRouter(Config{Tracker: core.Config{Antennas: ants, Window: 0.2}}, 3)
 	ctx := context.Background()
 	ch, cancel := sm.Subscribe(ctx)
 	log, done := collect(ch)

@@ -369,7 +369,7 @@ func TestRouterProbeTimeoutIsolatesStall(t *testing.T) {
 func TestRouterSlowSubscriberShedsNotBlocks(t *testing.T) {
 	ctx := context.Background()
 	samples, _, ants := penStreams(t, 1, 43)
-	lb := NewLocalBackend(Config{Tracker: core.Config{Antennas: ants}, EventBuffer: 1})
+	lb := NewLocalBackend(Config{Tracker: core.Config{Antennas: ants}, EventBuffer: 1}, nil)
 	r := NewRouter([]NamedBackend{{Name: "shard-0", Backend: lb}})
 	r.SetEventBuffer(1)
 

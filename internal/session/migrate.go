@@ -110,7 +110,7 @@ func (r *Router) ensureRoutable(epc string) {
 	}
 	r.handoffMu.Lock()
 	defer r.handoffMu.Unlock()
-	if _, pinned := r.overrides[epc]; pinned {
+	if _, pinned := r.overrides[epc]; pinned || r.closed {
 		return
 	}
 	if alt := r.healthyAmong(epc, rb); alt != nil {
@@ -140,7 +140,7 @@ func (r *Router) failover(dead *routerBackend) {
 	for _, epc := range j.EPCs() {
 		ctx, cancel := context.WithTimeout(context.Background(), failoverTimeout)
 		r.handoffMu.Lock()
-		if r.resolveLocked(epc) == dead {
+		if !r.closed && r.resolveLocked(epc) == dead {
 			if target := r.healthyAmong(epc, dead); target != nil {
 				_ = r.moveLocked(ctx, epc, nil, target)
 			}
@@ -158,6 +158,9 @@ func (r *Router) failover(dead *routerBackend) {
 func (r *Router) Handoff(ctx context.Context, epc, backend string) error {
 	r.handoffMu.Lock()
 	defer r.handoffMu.Unlock()
+	if r.closed {
+		return ErrClosed
+	}
 	var to *routerBackend
 	for _, rb := range r.backends {
 		if rb.name == backend {

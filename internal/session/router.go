@@ -239,6 +239,24 @@ func (rb *routerBackend) fail(err error) {
 // ok records a successful call.
 func (rb *routerBackend) ok() { rb.observe(&rb.call, true) }
 
+// settle records a call's outcome on the backend's health and returns
+// err wrapped with the backend's name (nil stays nil). A per-session
+// outcome (no such EPC, too few samples, the session cap) is an answer,
+// so it counts as a success; an ended ctx says nothing about the
+// backend, so it counts as neither.
+func (rb *routerBackend) settle(ctx context.Context, err error) error {
+	switch {
+	case err == nil:
+		rb.ok()
+		return nil
+	case errors.Is(err, ErrUnknownEPC), errors.Is(err, core.ErrTooFewSamples), errors.Is(err, ErrSessionLimit):
+		rb.ok()
+	case ctx.Err() == nil:
+		rb.fail(err)
+	}
+	return fmt.Errorf("router: backend %s: %w", rb.name, err)
+}
+
 // pingFail records a failed heartbeat probe.
 func (rb *routerBackend) pingFail(err error) {
 	rb.pingFails.Add(1)
@@ -260,10 +278,11 @@ func (rb *routerBackend) pingOK() { rb.observe(&rb.ping, true) }
 // routes to exactly one backend, and backends preserve it internally.
 //
 // Router itself implements ShardBackend, so a single-process
-// deployment (router over LocalBackends) and a multi-host one (router
-// over shardrpc.Clients) are the same code path, and routers compose.
-// Its event stream merges every backend's stream and adds
-// EventBackendHealth transitions.
+// deployment (router over LocalBackends sharing one core.Tracker) and
+// a multi-host one (router over shardrpc.Clients) are the same code
+// path, and routers compose. Its event stream merges every backend's
+// stream and adds EventBackendHealth transitions. Once Close starts,
+// calls fail with ErrClosed before reaching any backend.
 //
 // Without a journal, health is advisory: routing never moves an EPC
 // off an unhealthy backend (mapping stability first). SetJournal turns
@@ -301,10 +320,12 @@ type Router struct {
 	// paths hold the read side across journal-append + backend call, so
 	// a migration holding the write side observes a quiescent journal
 	// and no sample can slip between its replay and its override. The
-	// backend set and epoch below are guarded by it too.
+	// backend set, epoch and closed flag below are guarded by it too, so
+	// Close is ordered after every call holding the read side.
 	handoffMu sync.RWMutex
 	backends  []*routerBackend
 	epoch     uint64 // latest applied membership epoch (0 = static config)
+	closed    bool
 	overrides map[string]*routerBackend
 	// finishedOn maps an EPC whose stroke Finalize ended on an
 	// override (not its rendezvous winner) to that backend until the
@@ -451,6 +472,18 @@ func (r *Router) snapshotBackends() []*routerBackend {
 	r.handoffMu.RLock()
 	defer r.handoffMu.RUnlock()
 	return append([]*routerBackend(nil), r.backends...)
+}
+
+// NamedBackends returns the current backend set in routing order,
+// including leavers still draining: the live transports behind the
+// router, for callers that reach past the ShardBackend contract.
+func (r *Router) NamedBackends() []NamedBackend {
+	backends := r.snapshotBackends()
+	out := make([]NamedBackend, len(backends))
+	for i, rb := range backends {
+		out[i] = NamedBackend{Name: rb.name, Backend: rb.b}
+	}
+	return out
 }
 
 // rendezvousScore is FNV-1a over the backend name, a separator, and
@@ -815,12 +848,15 @@ func (r *Router) ApplyMembership(ctx context.Context, m Membership) error {
 	defer r.mshipMu.Unlock()
 
 	r.handoffMu.RLock()
-	cur := r.epoch
+	cur, closed := r.epoch, r.closed
 	current := make(map[string]*routerBackend, len(r.backends))
 	for _, rb := range r.backends {
 		current[rb.name] = rb
 	}
 	r.handoffMu.RUnlock()
+	if closed {
+		return ErrClosed
+	}
 	if m.Epoch <= cur {
 		return fmt.Errorf("%w: epoch %d <= current %d", ErrStaleEpoch, m.Epoch, cur)
 	}
@@ -973,22 +1009,16 @@ func (r *Router) Open(ctx context.Context, epc string, opts OpenOptions) error {
 	r.ensureRoutable(epc)
 	r.handoffMu.RLock()
 	defer r.handoffMu.RUnlock()
+	if r.closed {
+		return ErrClosed
+	}
 	if r.journal != nil {
 		if err := r.journal.RecordOpen(epc, opts); err != nil {
 			return fmt.Errorf("router: journal: %w", err)
 		}
 	}
 	rb := r.resolveLocked(epc)
-	if err := rb.b.Open(ctx, epc, opts); err != nil {
-		if !errors.Is(err, ErrSessionLimit) && ctx.Err() == nil {
-			// Transport-level failure, not a capacity outcome or the
-			// caller's own cancellation.
-			rb.fail(err)
-		}
-		return fmt.Errorf("router: backend %s: %w", rb.name, err)
-	}
-	rb.ok()
-	return nil
+	return rb.settle(ctx, rb.b.Open(ctx, epc, opts))
 }
 
 // anyHealthyLocked reports whether at least one backend is healthy.
@@ -1030,35 +1060,54 @@ func (r *Router) Dispatch(ctx context.Context, smp reader.Sample) error {
 	r.ensureRoutable(smp.EPC)
 	r.handoffMu.RLock()
 	defer r.handoffMu.RUnlock()
-	rb := r.resolveLocked(smp.EPC)
-	if err := r.admitLocked(rb, 1); err != nil {
+	if r.closed {
+		return ErrClosed
+	}
+	return r.sendLocked(ctx, r.resolveLocked(smp.EPC), smp, nil)
+}
+
+// sendLocked delivers samples bound for rb — batch when non-nil, else
+// the single smp — the way Dispatch describes: the pre-journal guards
+// pass or refuse them whole, so no EPC's sample order is split across
+// an accept/reject boundary; then the journal append and one backend
+// call. Callers hold handoffMu's read side.
+func (r *Router) sendLocked(ctx context.Context, rb *routerBackend, smp reader.Sample, batch []reader.Sample) error {
+	n := max(len(batch), 1)
+	if err := r.admitLocked(rb, n); err != nil {
 		return err
 	}
 	if a := r.admission; a != nil {
 		defer a.releaseBackend(rb)
 	}
 	if r.journal != nil {
-		if err := r.journalAppend(smp); err != nil {
+		var err error
+		if batch == nil {
+			err = r.journalAppend(smp)
+		}
+		for i := 0; i < len(batch) && err == nil; i++ {
+			err = r.journalAppend(batch[i])
+		}
+		if err != nil {
 			return err
 		}
 	}
-	rb.dispatched.Add(1)
+	rb.dispatched.Add(uint64(n))
 	var t0 time.Time
 	if r.tel != nil {
 		t0 = time.Now()
 	}
-	if err := rb.b.Dispatch(ctx, smp); err != nil {
-		rb.dropped.Add(1)
-		if ctx.Err() == nil {
-			rb.fail(err)
-		}
-		return fmt.Errorf("router: backend %s: %w", rb.name, err)
+	var err error
+	if batch == nil {
+		err = rb.b.Dispatch(ctx, smp)
+	} else {
+		err = rb.b.DispatchBatch(ctx, batch)
 	}
-	if r.tel != nil {
+	if err != nil {
+		rb.dropped.Add(uint64(n))
+	} else if r.tel != nil {
 		rb.lat.Observe(time.Since(t0).Seconds())
 	}
-	rb.ok()
-	return nil
+	return rb.settle(ctx, err)
 }
 
 // admitLocked runs the pre-journal guards (see Dispatch) for n samples
@@ -1126,6 +1175,9 @@ func (r *Router) DispatchBatch(ctx context.Context, batch []reader.Sample) error
 	}
 	r.handoffMu.RLock()
 	defer r.handoffMu.RUnlock()
+	if r.closed {
+		return ErrClosed
+	}
 	// Partition in first-seen order. The common case (a report from
 	// one reader, handful of pens) stays allocation-light.
 	type part struct {
@@ -1144,51 +1196,11 @@ func (r *Router) DispatchBatch(ctx context.Context, batch []reader.Sample) error
 		}
 		parts[i].sub = append(parts[i].sub, smp)
 	}
-	// Each sub-batch passes Dispatch's pre-journal guards whole, so no
-	// EPC's sample order is split across an accept/reject boundary.
 	var errs []error
 	for _, p := range parts {
-		if err := r.admitLocked(p.rb, len(p.sub)); err != nil {
+		if err := r.sendLocked(ctx, p.rb, reader.Sample{}, p.sub); err != nil {
 			errs = append(errs, err)
-			continue
 		}
-		if r.journal != nil {
-			var jerr error
-			for _, smp := range p.sub {
-				if err := r.journalAppend(smp); err != nil {
-					jerr = err
-					break
-				}
-			}
-			if jerr != nil {
-				if a := r.admission; a != nil {
-					a.releaseBackend(p.rb)
-				}
-				errs = append(errs, jerr)
-				continue
-			}
-		}
-		p.rb.dispatched.Add(uint64(len(p.sub)))
-		var t0 time.Time
-		if r.tel != nil {
-			t0 = time.Now()
-		}
-		err := p.rb.b.DispatchBatch(ctx, p.sub)
-		if a := r.admission; a != nil {
-			a.releaseBackend(p.rb)
-		}
-		if err != nil {
-			p.rb.dropped.Add(uint64(len(p.sub)))
-			if ctx.Err() == nil {
-				p.rb.fail(err)
-			}
-			errs = append(errs, fmt.Errorf("router: backend %s: %w", p.rb.name, err))
-			continue
-		}
-		if r.tel != nil {
-			p.rb.lat.Observe(time.Since(t0).Seconds())
-		}
-		p.rb.ok()
 	}
 	return errors.Join(errs...)
 }
@@ -1198,21 +1210,15 @@ func (r *Router) DispatchBatch(ctx context.Context, batch []reader.Sample) error
 // the stroke is over.
 func (r *Router) Finalize(ctx context.Context, epc string) (*core.Result, error) {
 	r.handoffMu.RLock()
-	rb := r.resolveLocked(epc)
+	rb, closed := r.resolveLocked(epc), r.closed
 	r.handoffMu.RUnlock()
+	if closed {
+		return nil, ErrClosed
+	}
 	res, err := rb.b.Finalize(ctx, epc)
-	switch {
-	case err == nil, errors.Is(err, core.ErrTooFewSamples):
-		rb.ok()
+	rb.settle(ctx, err)
+	if err == nil || errors.Is(err, core.ErrTooFewSamples) {
 		r.strokeDone(epc, rb)
-	case errors.Is(err, ErrUnknownEPC):
-		// A per-session outcome, not a transport failure.
-		rb.ok()
-	case ctx.Err() != nil:
-		// The caller's own deadline/cancellation says nothing about the
-		// backend's health.
-	default:
-		rb.fail(err)
 	}
 	return res, err
 }
@@ -1246,45 +1252,60 @@ func (r *Router) strokeDone(epc string, by *routerBackend) {
 	r.handoffMu.Unlock()
 }
 
+// fanOut runs call on every backend in turn, recording each outcome on
+// the backend's health (unless ctx ended), and joins the failures;
+// ErrClosed once Close has begun.
+func (r *Router) fanOut(ctx context.Context, call func(ShardBackend) error) error {
+	r.handoffMu.RLock()
+	backends, closed := append([]*routerBackend(nil), r.backends...), r.closed
+	r.handoffMu.RUnlock()
+	if closed {
+		return ErrClosed
+	}
+	var errs []error
+	for _, rb := range backends {
+		if err := rb.settle(ctx, call(rb.b)); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // Stats merges every backend's snapshots, sorted by EPC. Backends that
 // fail contribute nothing; their errors are joined and returned
 // alongside the stats gathered from the rest.
 func (r *Router) Stats(ctx context.Context) ([]Stats, error) {
 	var out []Stats
-	var errs []error
-	for _, rb := range r.snapshotBackends() {
-		st, err := rb.b.Stats(ctx)
-		if err != nil {
-			if ctx.Err() == nil {
-				rb.fail(err)
-			}
-			errs = append(errs, fmt.Errorf("router: backend %s: %w", rb.name, err))
-			continue
-		}
-		rb.ok()
+	err := r.fanOut(ctx, func(b ShardBackend) error {
+		st, err := b.Stats(ctx)
 		out = append(out, st...)
-	}
+		return err
+	})
 	sortStats(out)
-	return out, errors.Join(errs...)
+	return out, err
 }
 
 // EvictIdle sweeps every backend and sums the evictions.
 func (r *Router) EvictIdle(ctx context.Context, maxIdle time.Duration) (int, error) {
 	n := 0
-	var errs []error
-	for _, rb := range r.snapshotBackends() {
-		k, err := rb.b.EvictIdle(ctx, maxIdle)
-		if err != nil {
-			if ctx.Err() == nil {
-				rb.fail(err)
-			}
-			errs = append(errs, fmt.Errorf("router: backend %s: %w", rb.name, err))
-			continue
-		}
-		rb.ok()
+	err := r.fanOut(ctx, func(b ShardBackend) error {
+		k, err := b.EvictIdle(ctx, maxIdle)
 		n += k
-	}
-	return n, errors.Join(errs...)
+		return err
+	})
+	return n, err
+}
+
+// Len sums the live sessions of every backend (see Stats for how
+// failures are reported).
+func (r *Router) Len(ctx context.Context) (int, error) {
+	n := 0
+	err := r.fanOut(ctx, func(b ShardBackend) error {
+		k, err := b.Len(ctx)
+		n += k
+		return err
+	})
+	return n, err
 }
 
 // Export removes the EPC's session from its serving backend and
@@ -1293,21 +1314,15 @@ func (r *Router) EvictIdle(ctx context.Context, maxIdle time.Duration) (int, err
 func (r *Router) Export(ctx context.Context, epc string) ([]byte, error) {
 	r.handoffMu.Lock()
 	defer r.handoffMu.Unlock()
+	if r.closed {
+		return nil, ErrClosed
+	}
 	rb := r.resolveLocked(epc)
 	state, err := rb.b.Export(ctx, epc)
-	switch {
-	case err == nil:
-		rb.ok()
-		delete(r.overrides, epc)
-	case errors.Is(err, ErrUnknownEPC):
-		rb.ok()
-	case ctx.Err() != nil:
-	default:
-		rb.fail(err)
+	if err = rb.settle(ctx, err); err != nil {
+		return nil, err
 	}
-	if err != nil {
-		return nil, fmt.Errorf("router: backend %s: %w", rb.name, err)
-	}
+	delete(r.overrides, epc)
 	return state, nil
 }
 
@@ -1317,19 +1332,18 @@ func (r *Router) Export(ctx context.Context, epc string) ([]byte, error) {
 func (r *Router) Restore(ctx context.Context, epc string, state []byte) error {
 	r.handoffMu.Lock()
 	defer r.handoffMu.Unlock()
+	if r.closed {
+		return ErrClosed
+	}
 	rb := r.resolveLocked(epc)
 	if !rb.healthy() && r.journal != nil {
 		if alt := r.healthyAmong(epc, rb); alt != nil {
 			rb = alt
 		}
 	}
-	if err := rb.b.Restore(ctx, epc, state); err != nil {
-		if ctx.Err() == nil {
-			rb.fail(err)
-		}
-		return fmt.Errorf("router: backend %s: %w", rb.name, err)
+	if err := rb.settle(ctx, rb.b.Restore(ctx, epc, state)); err != nil {
+		return err
 	}
-	rb.ok()
 	if rb != r.backendFor(epc) {
 		r.setOverrideLocked(epc, rb)
 	}
@@ -1346,7 +1360,12 @@ func (r *Router) SetEventBuffer(n int) { r.eventBuffer = n }
 // Close). Backends that join later are armed individually as they
 // join.
 func (r *Router) armForwarding() {
-	backends := r.snapshotBackends()
+	r.handoffMu.RLock()
+	backends, closed := append([]*routerBackend(nil), r.backends...), r.closed
+	r.handoffMu.RUnlock()
+	if closed {
+		return // Close has stopped forwarding for good
+	}
 	r.fwdMu.Lock()
 	defer r.fwdMu.Unlock()
 	r.fwdArmed = true
@@ -1467,15 +1486,15 @@ func (r *Router) forwardTrailing(rb *routerBackend, ev Event) {
 // Close; per-EPC event order is preserved because an EPC lives on
 // exactly one serving backend at a time.
 func (r *Router) Subscribe(ctx context.Context) (<-chan Event, CancelFunc) {
-	r.armForwarding()
-	return r.hub.Subscribe(ctx, r.eventBuffer)
+	return r.SubscribeFiltered(ctx, SubscribeOptions{})
 }
 
 // SubscribeFiltered is Subscribe narrowed by opts (kind/EPC
 // allow-lists, see SubscribeOptions). Filtering happens at the
 // router's hub: the upstream per-backend subscriptions stay
 // unfiltered, since the router itself consumes checkpoint and
-// membership events from them.
+// membership events from them. After Close the channel comes back
+// already closed.
 func (r *Router) SubscribeFiltered(ctx context.Context, opts SubscribeOptions) (<-chan Event, CancelFunc) {
 	r.armForwarding()
 	return r.hub.SubscribeFiltered(ctx, r.eventBuffer, opts)
@@ -1485,13 +1504,21 @@ func (r *Router) SubscribeFiltered(ctx context.Context, opts SubscribeOptions) (
 // buffers (drops inside the backends are counted by the backends).
 func (r *Router) EventsDropped() uint64 { return r.hub.Dropped() }
 
-// Close stops the heartbeat and event forwarding, closes every backend
-// concurrently, and merges their results. When a failover left a stale
-// incarnation of an EPC on its former backend, the serving backend's
-// result wins.
+// Close rejects further calls with ErrClosed, stops the heartbeat and
+// event forwarding, closes every backend concurrently, and merges their
+// results. When a failover left a stale incarnation of an EPC on its
+// former backend, the serving backend's result wins. Close is
+// idempotent; later calls return (nil, nil).
 func (r *Router) Close(ctx context.Context) (map[string]*core.Result, error) {
+	r.handoffMu.Lock()
+	if r.closed {
+		r.handoffMu.Unlock()
+		return nil, nil
+	}
+	r.closed = true
+	backends := append([]*routerBackend(nil), r.backends...)
+	r.handoffMu.Unlock()
 	r.StopHeartbeat()
-	backends := r.snapshotBackends()
 	results := make([]map[string]*core.Result, len(backends))
 	var errs []error
 	var mu sync.Mutex

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -81,6 +82,11 @@ func (s *stubBackend) Stats(context.Context) ([]Stats, error) {
 		}
 	}
 	return out, nil
+}
+
+func (s *stubBackend) Len(ctx context.Context) (int, error) {
+	st, err := s.Stats(ctx)
+	return len(st), err
 }
 
 func (s *stubBackend) EvictIdle(context.Context, time.Duration) (int, error) {
@@ -275,6 +281,171 @@ func TestRouterHealth(t *testing.T) {
 	}
 }
 
+// localRouter is the single-process topology: a Router over shards
+// LocalBackends sharing one tracker, named shard-0 … shard-(n-1).
+func localRouter(cfg Config, shards int) *Router {
+	tr := core.New(cfg.Tracker)
+	nbs := make([]NamedBackend, shards)
+	for i := range nbs {
+		nbs[i] = NamedBackend{Name: fmt.Sprintf("shard-%d", i), Backend: NewLocalBackend(cfg, tr)}
+	}
+	r := NewRouter(nbs)
+	r.SetEventBuffer(cfg.EventBuffer)
+	return r
+}
+
+// TestShardedDemuxMatchesBatch pushes a mixed multi-pen stream through
+// the single-process topology (a Router over in-process shards sharing
+// one tracker) and requires, per EPC, exactly the batch-track result
+// for that EPC's sub-stream: the contract the flat Manager honours,
+// across shards.
+func TestShardedDemuxMatchesBatch(t *testing.T) {
+	const pens = 6
+	samples, _, ants := penStreams(t, pens, 9)
+	// 6 pens share the reader, so widen the window to keep every pen's
+	// dual-antenna read rate above the validity threshold.
+	cfg := Config{Tracker: core.Config{Antennas: ants, Window: 0.2}}
+	r := localRouter(cfg, 3)
+	if err := r.DispatchBatch(context.Background(), samples); err != nil {
+		t.Fatal(err)
+	}
+	results, err := r.Close(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != pens {
+		t.Fatalf("results = %d, want %d", len(results), pens)
+	}
+	perEPC := reader.SplitByEPC(samples)
+	batchTr := core.New(cfg.Tracker)
+	for epc, res := range results {
+		want, err := batchTr.Track(perEPC[epc])
+		if err != nil {
+			t.Fatalf("batch track %s: %v", epc, err)
+		}
+		if len(res.Trajectory) != len(want.Trajectory) {
+			t.Fatalf("%s: trajectory %d points, want %d",
+				epc, len(res.Trajectory), len(want.Trajectory))
+		}
+		for i := range want.Trajectory {
+			if math.Abs(res.Trajectory[i].X-want.Trajectory[i].X) > 1e-9 ||
+				math.Abs(res.Trajectory[i].Y-want.Trajectory[i].Y) > 1e-9 {
+				t.Fatalf("%s: trajectory[%d] = %+v, want %+v",
+					epc, i, res.Trajectory[i], want.Trajectory[i])
+			}
+		}
+	}
+}
+
+// TestShardedJoinLeaveRace exercises the single-process topology under
+// the conditions the race detector cares about: many pens dispatched
+// concurrently from separate goroutines, pens leaving mid-stream via
+// Finalize, late pens joining after others finished, and a
+// mid-traffic Stats/Len/EvictIdle/Health poller.
+func TestShardedJoinLeaveRace(t *testing.T) {
+	const pens = 8
+	samples, _, ants := penStreams(t, pens, 13)
+	perEPC := reader.SplitByEPC(samples)
+	if len(perEPC) != pens {
+		t.Fatalf("scenario produced %d EPCs, want %d", len(perEPC), pens)
+	}
+	r := localRouter(Config{
+		Tracker:     core.Config{Antennas: ants, Window: 0.3},
+		EventBuffer: 1 << 12, // never shed: every eviction must arrive
+		QueueSize:   64,
+	}, 3)
+	ch, cancel := r.SubscribeFiltered(context.Background(),
+		SubscribeOptions{Kinds: []EventKind{EventEvict}})
+	defer cancel()
+	log, evDone := collect(ch)
+
+	epcs := make([]string, 0, pens)
+	for epc := range perEPC {
+		epcs = append(epcs, epc)
+	}
+
+	var wg sync.WaitGroup
+	// Each pen streams from its own goroutine (per-EPC order is the
+	// per-goroutine dispatch order). Half the pens join late.
+	for i, epc := range epcs {
+		wg.Add(1)
+		go func(i int, epc string) {
+			defer wg.Done()
+			if i%2 == 1 {
+				time.Sleep(5 * time.Millisecond) // late joiner
+			}
+			for _, smp := range perEPC[epc] {
+				if err := r.Dispatch(context.Background(), smp); err != nil {
+					t.Errorf("dispatch %s: %v", epc, err)
+					return
+				}
+			}
+			if i%3 == 0 {
+				// Leave mid-stream from the pen's own goroutine: the
+				// result covers every sample dispatched so far.
+				r.Finalize(context.Background(), epc)
+			}
+		}(i, epc)
+	}
+	// A metrics poller races the dispatchers.
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.Len(context.Background())
+				r.Stats(context.Background())
+				r.EvictIdle(context.Background(), time.Minute)
+				r.Health()
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+	// Wait for dispatchers (all but the poller).
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	go func() {
+		// Poller stops once dispatchers are done; give them a beat.
+		time.Sleep(50 * time.Millisecond)
+		close(stop)
+	}()
+	<-done
+
+	r.Close(context.Background())
+	<-evDone
+	finalized := map[string]bool{} // a result or error was delivered
+	for _, ev := range log.get(EventEvict) {
+		finalized[ev.EPC] = true
+	}
+	for _, epc := range epcs {
+		if !finalized[epc] {
+			t.Errorf("EPC %s never published an Evict event", epc)
+		}
+	}
+}
+
+// TestShardStability checks that an EPC always routes to the same
+// in-process shard (the property per-EPC ordering rests on).
+func TestShardStability(t *testing.T) {
+	r := localRouter(Config{}, 7)
+	defer r.Close(context.Background())
+	for _, epc := range []string{"", "a", "E280-1160-6000-0001", "pen-042"} {
+		s0 := r.BackendFor(epc)
+		for i := 0; i < 10; i++ {
+			if r.BackendFor(epc) != s0 {
+				t.Fatalf("EPC %q moved shards", epc)
+			}
+		}
+	}
+}
+
 // TestRouterConcurrentCallbacks exercises the router's event merge
 // under -race: every session worker on every shard behind the router
 // publishes Point and Evict events simultaneously, and one filtered
@@ -288,13 +459,10 @@ func TestRouterConcurrentCallbacks(t *testing.T) {
 		t.Fatalf("scenario produced %d EPCs, want %d", len(perEPC), pens)
 	}
 
-	sm := NewShardedManager(ShardedConfig{
-		Session: Config{
-			Tracker:     core.Config{Antennas: ants, Window: 0.25, CommitLag: 8},
-			EventBuffer: 1 << 16, // never shed: the counts below are exact
-		},
-		Shards: 4,
-	})
+	sm := localRouter(Config{
+		Tracker:     core.Config{Antennas: ants, Window: 0.25, CommitLag: 8},
+		EventBuffer: 1 << 16, // never shed: the counts below are exact
+	}, 4)
 	ch, cancel := sm.SubscribeFiltered(context.Background(),
 		SubscribeOptions{Kinds: []EventKind{EventPoint, EventEvict}})
 	defer cancel()

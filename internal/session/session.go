@@ -230,9 +230,6 @@ func newManagerWith(cfg Config, tr *core.Tracker) *Manager {
 	}
 }
 
-// Tracker exposes the shared batch tracker (same grid the streams use).
-func (m *Manager) Tracker() *core.Tracker { return m.tracker }
-
 // Subscribe attaches a consumer to the manager's unified event stream:
 // WindowClose/Point per closed window, Commit segments from the
 // fixed-lag smoother, and Evict outcomes, across every session. Events
@@ -700,6 +697,13 @@ func sortStats(out []Stats) {
 	sort.Slice(out, func(i, j int) bool { return out[i].EPC < out[j].EPC })
 }
 
+// isClosed reports whether Close has begun.
+func (m *Manager) isClosed() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.closed
+}
+
 // Len returns the number of live sessions.
 func (m *Manager) Len() int {
 	m.mu.Lock()
@@ -745,12 +749,20 @@ func (m *Manager) EvictIdle(maxIdle time.Duration) int {
 	return len(idle)
 }
 
-// FinalizeAll drains and finalizes every session, returning results
-// keyed by EPC (sessions whose streams were too short are omitted; they
-// still publish their EventEvict with the error). The manager stays
-// usable.
-func (m *Manager) FinalizeAll() map[string]*core.Result {
+// Close rejects further calls, drains and finalizes every session
+// concurrently, and returns the results keyed by EPC (sessions whose
+// streams were too short are omitted; they still publish their
+// EventEvict with the error). It then ends every event subscription
+// (after the final Evict events are delivered), so a consumer ranging
+// over Subscribe's channel terminates without needing its own cancel.
+// Close is idempotent; later calls return nil.
+func (m *Manager) Close() map[string]*core.Result {
 	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return nil
+	}
+	m.closed = true
 	ss := make([]*session, 0, len(m.sessions))
 	for epc, s := range m.sessions {
 		ss = append(ss, s)
@@ -774,23 +786,6 @@ func (m *Manager) FinalizeAll() map[string]*core.Result {
 		}(s)
 	}
 	wg.Wait()
-	return out
-}
-
-// Close finalizes everything, rejects further dispatches, and ends
-// every event subscription (after the final Evict events are
-// delivered), so a consumer ranging over Subscribe's channel
-// terminates without needing its own cancel. Close is idempotent;
-// later calls return nil.
-func (m *Manager) Close() map[string]*core.Result {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil
-	}
-	m.closed = true
-	m.mu.Unlock()
-	out := m.FinalizeAll()
 	m.events.CloseAll()
 	return out
 }

@@ -22,8 +22,10 @@ import (
 
 // Client errors.
 var (
-	// ErrClientClosed is returned by every method after Close.
-	ErrClientClosed = errors.New("shardrpc: client closed")
+	// ErrClientClosed is returned by every method after Close or
+	// Detach. It wraps session.ErrClosed, so errors.Is(err,
+	// session.ErrClosed) holds on this transport as on every other.
+	ErrClientClosed = fmt.Errorf("shardrpc: client closed: %w", session.ErrClosed)
 	// ErrCallTimeout is returned when a request's response does not
 	// arrive within CallTimeout; the connection is torn down (the frame
 	// stream cannot be resynchronized) and redialed on next use.

@@ -14,6 +14,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -212,8 +213,8 @@ func TestOpenOptionsRemoteLocalBitEquivalence(t *testing.T) {
 	topK, lag, window := 48, 8, 0.25
 	opts := session.OpenOptions{BeamTopK: &topK, CommitLag: &lag, Window: &window}
 
-	local := session.NewLocalBackend(base)
-	localDefault := session.NewLocalBackend(base)
+	local := session.NewLocalBackend(base, nil)
+	localDefault := session.NewLocalBackend(base, nil)
 	_, addr := startServer(t, ServerConfig{Session: base})
 	client, err := Dial(ClientConfig{Addr: addr})
 	if err != nil {
@@ -621,7 +622,7 @@ func TestSeqResendAfterReconnect(t *testing.T) {
 	samples, ants := penStreams(t, pens, 83)
 	const window, lag = 0.2, 16
 
-	local := session.NewLocalBackend(sessionCfg(ants, window, lag))
+	local := session.NewLocalBackend(sessionCfg(ants, window, lag), nil)
 	if err := local.DispatchBatch(ctx, samples); err != nil {
 		t.Fatal(err)
 	}
@@ -1525,11 +1526,12 @@ func TestHelloDefaultsEquivalence(t *testing.T) {
 	}
 }
 
-// orderingTransports builds one fresh backend per call for each
-// ShardBackend transport: an in-process LocalBackend, a ShardedManager,
-// a Router over two LocalBackends, and a shardrpc client of its own
-// shard server.
-func orderingTransports(cfg session.Config) []struct {
+// transports builds one fresh backend per call for each ShardBackend
+// transport: an in-process LocalBackend, the single-process topology (a
+// Router over two LocalBackends sharing one tracker), and a shardrpc
+// client of its own shard server. TestOrderingContractAcrossTransports
+// and TestShardBackendConformance run every assertion on each.
+func transports(cfg session.Config) []struct {
 	name string
 	open func(t *testing.T) session.ShardBackend
 } {
@@ -1538,15 +1540,13 @@ func orderingTransports(cfg session.Config) []struct {
 		open func(t *testing.T) session.ShardBackend
 	}{
 		{"local", func(t *testing.T) session.ShardBackend {
-			return session.NewLocalBackend(cfg)
-		}},
-		{"sharded", func(t *testing.T) session.ShardBackend {
-			return session.NewShardedManager(session.ShardedConfig{Session: cfg, Shards: 2})
+			return session.NewLocalBackend(cfg, nil)
 		}},
 		{"router", func(t *testing.T) session.ShardBackend {
+			tr := core.New(cfg.Tracker)
 			return session.NewRouter([]session.NamedBackend{
-				{Name: "shard-0", Backend: session.NewLocalBackend(cfg)},
-				{Name: "shard-1", Backend: session.NewLocalBackend(cfg)},
+				{Name: "shard-0", Backend: session.NewLocalBackend(cfg, tr)},
+				{Name: "shard-1", Backend: session.NewLocalBackend(cfg, tr)},
 			})
 		}},
 		{"remote", func(t *testing.T) session.ShardBackend {
@@ -1602,7 +1602,7 @@ func TestOrderingContractAcrossTransports(t *testing.T) {
 		}
 	}
 
-	for _, tr := range orderingTransports(cfg) {
+	for _, tr := range transports(cfg) {
 		t.Run(tr.name+"/dispatch-finalize", func(t *testing.T) {
 			b := tr.open(t)
 			defer closeAll(t, b)
@@ -1649,6 +1649,325 @@ func TestOrderingContractAcrossTransports(t *testing.T) {
 			}
 			requireEmpty(t, from)
 			requireEmpty(t, to)
+		})
+	}
+}
+
+// TestShardBackendConformance runs the rest of the session.ShardBackend
+// contract on every transport (see transports): per-session
+// OpenOptions, Stats sorted by EPC and Len, an EvictIdle sweep that
+// reaches every shard with one EventEvict per pen, the closed-state
+// contract (typed ErrClosed from every method, an idempotent Close, an
+// already-closed channel from Subscribe), and subscriptions attaching
+// and detaching while a pen streams and while Close runs, with a
+// dispatch racing Close.
+func TestShardBackendConformance(t *testing.T) {
+	const pens = 5
+	samples, ants := penStreams(t, pens, 101)
+	cfg := sessionCfg(ants, 0.2, 16)
+	perEPC := reader.SplitByEPC(samples)
+	epcs := make([]string, 0, pens)
+	for epc := range perEPC {
+		epcs = append(epcs, epc)
+	}
+	sort.Strings(epcs)
+	if len(epcs) != pens {
+		t.Fatalf("scenario produced %d EPCs, want %d", len(epcs), pens)
+	}
+
+	// One pen decodes with per-session options. The reference is an
+	// in-process Manager given the same Open, and the options must
+	// change its decode for the case to prove anything.
+	topK, window := 48, 0.25
+	opts := session.OpenOptions{BeamTopK: &topK, Window: &window}
+	optEPC := epcs[0]
+	reference := func(o session.OpenOptions) *core.Result {
+		m := session.NewManager(cfg)
+		defer m.Close()
+		if err := m.Open(optEPC, o); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.DispatchBatch(perEPC[optEPC]); err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Finalize(optEPC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	wantOpt := reference(opts)
+	if reflect.DeepEqual(wantOpt, reference(session.OpenOptions{})) {
+		t.Fatal("the options do not change the reference decode; open-options has no teeth")
+	}
+
+	// awaitClosed fails unless ch is closed within a bound, draining
+	// any events still buffered ahead of the close.
+	awaitClosed := func(t *testing.T, what string, ch <-chan session.Event) {
+		t.Helper()
+		deadline := time.After(5 * time.Second)
+		for {
+			select {
+			case _, ok := <-ch:
+				if !ok {
+					return
+				}
+			case <-deadline:
+				t.Fatalf("%s: channel still open", what)
+			}
+		}
+	}
+
+	for _, tr := range transports(cfg) {
+		t.Run(tr.name+"/open-options", func(t *testing.T) {
+			b := tr.open(t)
+			defer b.Close(ctx)
+			if err := b.Open(ctx, optEPC, opts); err != nil {
+				t.Fatal(err)
+			}
+			// Opening a live EPC is a no-op: the session keeps its options.
+			if err := b.Open(ctx, optEPC, session.OpenOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.DispatchBatch(ctx, perEPC[optEPC]); err != nil {
+				t.Fatal(err)
+			}
+			got, err := b.Finalize(ctx, optEPC)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, wantOpt) {
+				t.Fatal("decode with OpenOptions diverged from the in-process reference")
+			}
+			bad := -1
+			if err := b.Open(ctx, epcs[1], session.OpenOptions{BeamTopK: &bad}); err == nil {
+				t.Fatal("Open accepted BeamTopK -1")
+			}
+		})
+		t.Run(tr.name+"/stats-len", func(t *testing.T) {
+			b := tr.open(t)
+			defer b.Close(ctx)
+			if err := b.DispatchBatch(ctx, samples); err != nil {
+				t.Fatal(err)
+			}
+			st, err := b.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(st) != pens {
+				t.Fatalf("Stats lists %d sessions, want %d", len(st), pens)
+			}
+			var received uint64
+			for i, s := range st {
+				if s.EPC != epcs[i] {
+					t.Fatalf("Stats[%d] is %s, want %s: not sorted by EPC", i, s.EPC, epcs[i])
+				}
+				received += s.Received
+			}
+			if received != uint64(len(samples)) {
+				t.Fatalf("Stats received %d samples, want %d", received, len(samples))
+			}
+			if n, err := b.Len(ctx); err != nil || n != pens {
+				t.Fatalf("Len = %d, %v; want %d", n, err, pens)
+			}
+		})
+		t.Run(tr.name+"/evict-idle", func(t *testing.T) {
+			b := tr.open(t)
+			if r, ok := b.(*session.Router); ok {
+				owners := map[string]bool{}
+				for _, epc := range epcs {
+					owners[r.BackendFor(epc)] = true
+				}
+				if len(owners) < 2 {
+					t.Fatalf("every pen routes to one shard; the sweep would not show it reaches both")
+				}
+			}
+			evs, cancel := b.SubscribeFiltered(ctx, session.SubscribeOptions{Kinds: []session.EventKind{session.EventEvict}})
+			defer cancel()
+			if err := b.DispatchBatch(ctx, samples); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := b.EvictIdle(ctx, 0); err != nil || n != pens {
+				t.Fatalf("EvictIdle = %d, %v; want %d", n, err, pens)
+			}
+			if n, err := b.Len(ctx); err != nil || n != 0 {
+				t.Fatalf("Len after the sweep = %d, %v; want 0", n, err)
+			}
+			evicted := map[string]int{}
+			deadline := time.After(10 * time.Second)
+			for len(evicted) < pens {
+				select {
+				case ev := <-evs:
+					evicted[ev.EPC]++
+				case <-deadline:
+					t.Fatalf("Evict events reached %d of %d pens", len(evicted), pens)
+				}
+			}
+			if _, err := b.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			for ev := range evs { // Close ends the subscription
+				evicted[ev.EPC]++
+			}
+			for _, epc := range epcs {
+				if evicted[epc] != 1 {
+					t.Fatalf("EPC %s evicted %d times, want once", epc, evicted[epc])
+				}
+			}
+		})
+		t.Run(tr.name+"/closed", func(t *testing.T) {
+			b := tr.open(t)
+			epc, stroke := epcs[0], perEPC[epcs[0]]
+			if err := b.DispatchBatch(ctx, stroke[:len(stroke)/2]); err != nil {
+				t.Fatal(err)
+			}
+			state, err := b.Export(ctx, epc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			_, finalizeErr := b.Finalize(ctx, epc)
+			_, statsErr := b.Stats(ctx)
+			_, lenErr := b.Len(ctx)
+			_, evictErr := b.EvictIdle(ctx, 0)
+			_, exportErr := b.Export(ctx, epc)
+			for name, err := range map[string]error{
+				"Open":          b.Open(ctx, epc, session.OpenOptions{}),
+				"Dispatch":      b.Dispatch(ctx, stroke[0]),
+				"DispatchBatch": b.DispatchBatch(ctx, stroke),
+				"Finalize":      finalizeErr,
+				"Stats":         statsErr,
+				"Len":           lenErr,
+				"EvictIdle":     evictErr,
+				"Export":        exportErr,
+				"Restore":       b.Restore(ctx, epc, state),
+				"Restore(junk)": b.Restore(ctx, epc, []byte("not a snapshot")),
+			} {
+				if !errors.Is(err, session.ErrClosed) {
+					t.Errorf("%s after Close: %v, want ErrClosed", name, err)
+				}
+			}
+			if res, err := b.Close(ctx); res != nil || err != nil {
+				t.Fatalf("second Close = %v, %v; want nil, nil", res, err)
+			}
+			if r, ok := b.(*session.Router); ok {
+				for _, h := range r.Health() {
+					if !h.Healthy || h.Errors != 0 {
+						t.Fatalf("calls after Close changed backend health: %+v", h)
+					}
+				}
+			}
+		})
+		t.Run(tr.name+"/subscribe-after-close", func(t *testing.T) {
+			b := tr.open(t)
+			if _, err := b.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			ch, cancel := b.Subscribe(ctx)
+			awaitClosed(t, "Subscribe after Close", ch)
+			cancel()
+			ch, cancel = b.SubscribeFiltered(ctx, session.SubscribeOptions{Kinds: []session.EventKind{session.EventCommit}})
+			awaitClosed(t, "SubscribeFiltered after Close", ch)
+			cancel()
+		})
+		t.Run(tr.name+"/subscribe-cancel-race", func(t *testing.T) {
+			b := tr.open(t)
+			subscribe := func(sctx context.Context, i int) (<-chan session.Event, session.CancelFunc) {
+				if i%2 == 0 {
+					return b.Subscribe(sctx)
+				}
+				return b.SubscribeFiltered(sctx, session.SubscribeOptions{Kinds: []session.EventKind{session.EventPoint}})
+			}
+			// Long-lived subscribers only Close ends.
+			var live []<-chan session.Event
+			for i := 0; i < 2; i++ {
+				ch, cancel := subscribe(ctx, i)
+				defer cancel()
+				live = append(live, ch)
+			}
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() { // one pen streams throughout
+				defer wg.Done()
+				for _, smp := range perEPC[epcs[1]] {
+					if err := b.Dispatch(ctx, smp); err != nil {
+						t.Errorf("dispatch: %v", err)
+						return
+					}
+				}
+			}()
+			for i := 0; i < 4; i++ {
+				wg.Add(1)
+				go func(i int) { // attach, read at most one event, detach
+					defer wg.Done()
+					for k := 0; k < 20; k++ {
+						sctx, scancel := context.WithCancel(ctx)
+						ch, cancel := subscribe(sctx, i)
+						select {
+						case <-ch:
+						default:
+						}
+						if k%2 == 0 {
+							cancel()
+						} else {
+							scancel() // detaching through ctx closes the channel too
+						}
+						for range ch {
+						}
+						cancel()
+						scancel()
+					}
+				}(i)
+			}
+			wg.Wait()
+			// A pen streaming through Close sees only successes, then
+			// ErrClosed.
+			dispatched := make(chan error, 1)
+			go func() {
+				for _, smp := range perEPC[epcs[2]] {
+					if err := b.Dispatch(ctx, smp); err != nil {
+						dispatched <- err
+						return
+					}
+				}
+				dispatched <- nil
+			}()
+			// Subscriptions racing Close: each channel ends, whether it
+			// attached before Close began or after.
+			stop := make(chan struct{})
+			racing := make(chan (<-chan session.Event), 1024)
+			go func() {
+				defer close(racing)
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					ch, cancel := subscribe(ctx, i)
+					defer cancel()
+					racing <- ch
+					if i == cap(racing)-1 {
+						<-stop
+						return
+					}
+				}
+			}()
+			if _, err := b.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			close(stop)
+			if err := <-dispatched; err != nil && !errors.Is(err, session.ErrClosed) {
+				t.Fatalf("dispatch racing Close: %v, want nil or ErrClosed", err)
+			}
+			for ch := range racing {
+				awaitClosed(t, "subscription racing Close", ch)
+			}
+			for _, ch := range live {
+				awaitClosed(t, "subscription live at Close", ch)
+			}
 		})
 	}
 }

@@ -82,7 +82,7 @@ func TestRemoteLocalEquivalence(t *testing.T) {
 	samples, ants := penStreams(t, pens, 31)
 	const window, lag = 0.2, 16
 
-	local := session.NewLocalBackend(sessionCfg(ants, window, lag))
+	local := session.NewLocalBackend(sessionCfg(ants, window, lag), nil)
 	_, addr := startServer(t, ServerConfig{Session: sessionCfg(ants, window, lag)})
 	client, err := Dial(ClientConfig{Addr: addr})
 	if err != nil {

@@ -49,8 +49,12 @@ type clientConfig struct {
 	admission       session.AdmissionConfig
 }
 
+// defaultShards is the in-process shard count when WithShards is not
+// given (or not positive).
+const defaultShards = 4
+
 func defaultClientConfig() clientConfig {
-	return clientConfig{shards: session.DefaultShards}
+	return clientConfig{shards: defaultShards}
 }
 
 // baseTracker assembles the core pipeline configuration the client's
@@ -87,8 +91,9 @@ func WithAntennas(ants [2]Antenna) Option {
 }
 
 // WithShards runs the client over n in-process shards behind the
-// rendezvous router (the single-process deployment; default
-// session.DefaultShards). Mutually exclusive with WithShardServers.
+// rendezvous router (the single-process deployment; default four).
+// The shards share one HMM grid. Mutually exclusive with
+// WithShardServers.
 func WithShards(n int) Option {
 	return optionFunc(func(c *clientConfig) { c.shards = n; c.servers = nil })
 }
