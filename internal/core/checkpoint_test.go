@@ -1,6 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"runtime"
 	"testing"
 
 	"polardraw/internal/geom"
@@ -182,25 +186,26 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 		}
 	}
 
-	if _, err := tr.RestoreStream(nil); err == nil {
-		t.Fatal("nil snapshot restored")
+	if _, err := tr.RestoreStream(nil); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("nil snapshot: %v, want ErrBadSnapshot", err)
 	}
 	bad := append([]byte(nil), snap...)
 	bad[0] ^= 0xff
-	if _, err := tr.RestoreStream(bad); err == nil {
-		t.Fatal("bad magic restored")
+	if _, err := tr.RestoreStream(bad); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("bad magic: %v, want ErrBadSnapshot", err)
 	}
-	// Truncation anywhere in the body must error, never panic.
+	// Truncation anywhere in the body must fail with ErrBadSnapshot,
+	// never panic.
 	for cut := 0; cut < len(snap); cut += stride {
-		if _, err := tr.RestoreStream(snap[:cut]); err == nil {
-			t.Fatalf("truncation at %d restored", cut)
+		if _, err := tr.RestoreStream(snap[:cut]); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("truncation at %d: %v, want ErrBadSnapshot", cut, err)
 		}
 	}
 	// Grid mismatch: half the cell size, four times the cells.
 	small := cfg
 	small.CellSize = cfg.CellSize / 2
-	if _, err := New(small).RestoreStream(snap); err == nil {
-		t.Fatal("snapshot restored onto a different grid")
+	if _, err := New(small).RestoreStream(snap); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("snapshot on a different grid: %v, want ErrBadSnapshot", err)
 	}
 
 	if _, err := st.Finalize(); err != nil {
@@ -208,5 +213,40 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 	}
 	if _, err := st.Snapshot(); err != ErrFinalized {
 		t.Fatalf("snapshot after finalize: %v", err)
+	}
+}
+
+// TestSnapshotGoldenBytes pins checkpoint format v2 byte for byte: the
+// SHA-256 of a mid-stroke snapshot at the serving config and of a
+// greedy-decode one. Journals and migrations carry these bytes between
+// builds, so they may only change with ckptVersion. The hashes were
+// taken on amd64; architectures that fuse multiply-adds may round the
+// decode differently.
+func TestSnapshotGoldenBytes(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden hashes were taken on amd64, not %s", runtime.GOARCH)
+	}
+	samples, ants := synthSamples(t, 'R', 7)
+	greedy := Config{Antennas: ants, GreedyDecode: true}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"serving", servingConfig(ants), "5e1a353dd1605844443469428dfa081611b7a3b7cd3045bbed6d25f5aa3e5fe8"},
+		{"greedy", greedy, "cdc03f82fcbdd7d3301df7c9cc3d7d88b26cee3fd516c2ff365b7e0a2ae4b960"},
+	} {
+		st := New(tc.cfg).Stream()
+		if err := st.Push(samples[:len(samples)/2]...); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := st.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(snap)
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s snapshot (%d bytes) sha256 %s, want %s", tc.name, len(snap), got, tc.want)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package session
 
 import (
+	"bytes"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -268,5 +270,57 @@ func TestFileJournalTornTail(t *testing.T) {
 	j2.Release("pen-a")
 	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
 		t.Fatalf("file after full release: size=%d err=%v, want empty", fi.Size(), err)
+	}
+}
+
+// TestFileJournalGoldenBytes pins the log format byte for byte: one
+// record of each type, with every OpenOptions presence bit set
+// (explicit zeroes included). Journal files written by earlier builds
+// must keep loading, so these bytes may only change with a deliberate
+// format version.
+func TestFileJournalGoldenBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	j, err := NewFileJournal(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, lag, adaptive, window, spurious := 0, 64, false, 0.1, 1.5
+	opts := OpenOptions{BeamTopK: &zero, CommitLag: &lag, BeamAdaptive: &adaptive,
+		Window: &window, SpuriousPhase: &spurious}
+	if err := j.RecordOpen("pen-a", opts); err != nil {
+		t.Fatal(err)
+	}
+	smp := reader.Sample{EPC: "pen-a", T: 0.25, Antenna: 1, RSS: -61.5, Phase: 2.75}
+	if _, err := j.Append(smp); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.SaveCheckpoint("pen-a", 1, []byte{0xca, 0xfe}); err != nil {
+		t.Fatal(err)
+	}
+	// pen-a stays live, so releasing pen-b appends a record instead of
+	// truncating the file.
+	j.Release("pen-b")
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each record is u32 length | type | payload.
+	want, _ := hex.DecodeString("" +
+		// open: EPC, mask 0x1f, BeamTopK 0, CommitLag 64, BeamAdaptive
+		// false, Window 0.1, SpuriousPhase 1.5
+		"0000002c" + "02" + "00000005" + "70656e2d61" + "1f" + "0000000000000000" +
+		"0000000000000040" + "00" + "3fb999999999999a" + "3ff8000000000000" +
+		// sample: EPC, T, antenna, RSS, Phase
+		"00000023" + "01" + "00000005" + "70656e2d61" + "3fd0000000000000" + "01" +
+		"c04ec00000000000" + "4006000000000000" +
+		// checkpoint: EPC, covered, state
+		"00000018" + "03" + "00000005" + "70656e2d61" + "0000000000000001" + "00000002" + "cafe" +
+		// release: EPC
+		"0000000a" + "04" + "00000005" + "70656e2d62")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("journal file bytes changed:\n got %x\nwant %x", got, want)
 	}
 }
