@@ -357,8 +357,3 @@ func (c *Client) StencilCacheStats() (hits, misses uint64, ok bool) {
 	h, m := c.tracker.StencilCacheStats()
 	return h, m, true
 }
-
-// Tracker exposes the local tier's shared batch tracker (same grid the
-// sessions use), nil in remote mode. It exists for equivalence tests
-// that compare streamed decodes against batch decodes on one grid.
-func (c *Client) Tracker() *core.Tracker { return c.tracker }

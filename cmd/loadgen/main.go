@@ -18,7 +18,9 @@
 // latency is measured per pen as the time from the most recent
 // Dispatch to the Point event that a closed window triggers, i.e.
 // session queue + decode time + event delivery (+ both
-// network hops in remote mode, where the event arrives over the wire).
+// network hops in remote mode, where the event arrives over the wire),
+// for windows that close while load runs; the windows Close's finalize
+// flushes are not timed.
 //
 // By default samples are offered as fast as the tier accepts them, so
 // the numbers characterize saturation. With -pace, samples replay at
@@ -204,6 +206,10 @@ func main() {
 		latencies   []float64 // milliseconds
 		evictOK     atomic.Int64
 		evictErr    atomic.Int64
+		// closing stops latency recording: the windows Close's
+		// finalize emits for pens idle since their round ended are
+		// timed against that round's last enqueue, not decode work.
+		closing atomic.Bool
 	)
 	const maxLatSamples = 1 << 21
 
@@ -218,7 +224,7 @@ func main() {
 			switch ev.Kind {
 			case polardraw.EventPoint:
 				windowsDone.Add(1)
-				if v, ok := states.Load(ev.EPC); ok {
+				if v, ok := states.Load(ev.EPC); ok && !closing.Load() {
 					lat := float64(time.Now().UnixNano()-v.(*penState).lastEnq.Load()) / 1e6
 					latMu.Lock()
 					if len(latencies) < maxLatSamples {
@@ -398,6 +404,7 @@ func main() {
 		}
 	}
 	stopChurn()
+	closing.Store(true)
 	results, err := c.Close(ctx)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: close: %v\n", err)

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 
+	"polardraw/internal/codec"
 	"polardraw/internal/geom"
 )
 
@@ -27,8 +27,9 @@ import (
 // the commit point are O(lag x beam), so snapshots stay small under
 // Config.CommitLag and Config.BeamTopK.
 //
-// The format is versioned (ckptVersion); all scalars are big-endian,
-// floats are IEEE-754 bit patterns so values round-trip exactly.
+// The format is versioned (ckptVersion) and written with
+// internal/codec: scalars are big-endian, floats are IEEE-754 bit
+// patterns so values round-trip exactly.
 // Version 2 stores the decoder's beam records; version 1 (dense
 // per-step backpointer vectors) is refused.
 
@@ -69,83 +70,6 @@ const (
 	ckptDecoderVit  = 1
 	ckptDecoderGre  = 2
 )
-
-// ckWriter appends big-endian scalars to a growing buffer.
-type ckWriter struct{ b []byte }
-
-func (w *ckWriter) u8(v uint8)    { w.b = append(w.b, v) }
-func (w *ckWriter) u32(v uint32)  { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *ckWriter) u64(v uint64)  { w.b = binary.BigEndian.AppendUint64(w.b, v) }
-func (w *ckWriter) i64(v int)     { w.u64(uint64(v)) }
-func (w *ckWriter) i32(v int32)   { w.u32(uint32(v)) }
-func (w *ckWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *ckWriter) boolean(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-
-// ckReader consumes big-endian scalars; the first short read latches
-// err and every later read returns zero values.
-type ckReader struct {
-	b   []byte
-	err error
-}
-
-func (r *ckReader) take(n int) []byte {
-	if r.err != nil || len(r.b) < n {
-		r.err = ErrBadSnapshot
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *ckReader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *ckReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *ckReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *ckReader) i64() int     { return int(int64(r.u64())) }
-func (r *ckReader) i32() int32   { return int32(r.u32()) }
-func (r *ckReader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *ckReader) boolean() bool {
-	return r.u8() != 0
-}
-
-// count reads a u32 element count and bounds it against the remaining
-// payload, elemSize bytes per element, so a hostile length cannot
-// force a huge allocation.
-func (r *ckReader) count(elemSize int) int {
-	n := int(r.u32())
-	if r.err == nil && elemSize > 0 && n > len(r.b)/elemSize+1 {
-		r.err = ErrBadSnapshot
-		return 0
-	}
-	return n
-}
 
 // configBits packs the boolean configuration switches.
 func configBits(cfg Config) uint16 {
@@ -189,49 +113,49 @@ func (s *StreamTracker) Snapshot() ([]byte, error) {
 	if s.finalized {
 		return nil, ErrFinalized
 	}
-	w := &ckWriter{b: make([]byte, 0, s.snapshotSize())}
-	w.u32(ckptMagic)
-	w.u8(ckptVersion)
-	w.u64(uint64(s.received)) // covered count, fixed header offset
-	w.u32(uint32(s.grid.nx))
-	w.u32(uint32(s.grid.ny))
+	w := codec.NewEncoder(make([]byte, 0, s.snapshotSize()))
+	w.U32(ckptMagic)
+	w.U8(ckptVersion)
+	w.U64(uint64(s.received)) // covered count, fixed header offset
+	w.U32(uint32(s.grid.nx))
+	w.U32(uint32(s.grid.ny))
 
 	// Stream-level configuration (grid-level fields travel implicitly
 	// via the nx/ny compatibility check: restore reuses the target
 	// tracker's grid).
 	cfg := s.cfg
-	w.f64(cfg.Window)
-	w.f64(cfg.SpuriousPhase)
-	w.f64(cfg.ModeDelta)
-	w.f64(cfg.StepDelta)
-	w.f64(cfg.DeltaBeta)
-	w.f64(cfg.Elevation)
-	w.f64(cfg.VMax)
-	w.i64(cfg.BeamTopK)
-	w.i64(cfg.CommitLag)
-	w.u32(uint32(configBits(cfg)))
+	w.F64(cfg.Window)
+	w.F64(cfg.SpuriousPhase)
+	w.F64(cfg.ModeDelta)
+	w.F64(cfg.StepDelta)
+	w.F64(cfg.DeltaBeta)
+	w.F64(cfg.Elevation)
+	w.F64(cfg.VMax)
+	w.I64(int64(cfg.BeamTopK))
+	w.I64(int64(cfg.CommitLag))
+	w.U32(uint32(configBits(cfg)))
 
 	// Windowing state.
-	w.boolean(s.started)
-	w.f64(s.startT)
-	w.i64(s.openIdx)
-	w.i64(s.spurious)
-	w.i64(s.dropped)
+	w.Bool(s.started)
+	w.F64(s.startT)
+	w.I64(int64(s.openIdx))
+	w.I64(int64(s.spurious))
+	w.I64(int64(s.dropped))
 	for a := 0; a < 2; a++ {
-		w.f64(s.open.rssSum[a])
-		w.i64(s.open.count[a])
-		w.u32(uint32(len(s.open.phases[a])))
+		w.F64(s.open.rssSum[a])
+		w.I64(int64(s.open.count[a]))
+		w.U32(uint32(len(s.open.phases[a])))
 		for _, p := range s.open.phases[a] {
-			w.f64(p)
+			w.F64(p)
 		}
 	}
-	w.u32(uint32(len(s.windows)))
+	w.U32(uint32(len(s.windows)))
 	for _, win := range s.windows {
-		w.f64(win.T)
+		w.F64(win.T)
 		for a := 0; a < 2; a++ {
-			w.f64(win.RSS[a])
-			w.f64(win.Phase[a])
-			w.i64(win.Count[a])
+			w.F64(win.RSS[a])
+			w.F64(win.Phase[a])
+			w.I64(int64(win.Count[a]))
 		}
 		var flags uint8
 		if win.Valid {
@@ -243,35 +167,35 @@ func (s *StreamTracker) Snapshot() ([]byte, error) {
 		if win.Spurious[1] {
 			flags |= 4
 		}
-		w.u8(flags)
+		w.U8(flags)
 	}
 
 	// Direction-evidence state.
-	w.i64(s.eb.rot)
-	w.i64(s.eb.trans)
+	w.I64(int64(s.eb.rot))
+	w.I64(int64(s.eb.trans))
 	az := s.eb.az
-	w.boolean(az.started)
-	w.f64(az.alpha)
-	w.i64(int(az.sector))
-	w.f64(az.correction)
-	w.boolean(az.corrected)
+	w.Bool(az.started)
+	w.F64(az.alpha)
+	w.I64(int64(int(az.sector)))
+	w.F64(az.correction)
+	w.Bool(az.corrected)
 
 	// Decoder state.
 	switch {
 	case s.vit != nil:
-		w.u8(ckptDecoderVit)
-		s.vit.snapshot(w)
+		w.U8(ckptDecoderVit)
+		s.vit.snapshot(&w)
 	case s.gre != nil:
-		w.u8(ckptDecoderGre)
-		w.i64(s.gre.cur)
-		w.u32(uint32(len(s.gre.path)))
+		w.U8(ckptDecoderGre)
+		w.I64(int64(s.gre.cur))
+		w.U32(uint32(len(s.gre.path)))
 		for _, c := range s.gre.path {
-			w.i64(c)
+			w.I64(int64(c))
 		}
 	default:
-		w.u8(ckptDecoderNone)
+		w.U8(ckptDecoderNone)
 	}
-	return w.b, nil
+	return w.Bytes(), nil
 }
 
 // snapshotSize is the exact length of Snapshot's output, so the
@@ -305,36 +229,36 @@ func (v *viterbiState) snapshotSize() int {
 // stored with its probability values, then every beam record as its
 // cells followed by its predecessor positions (omitted for the oldest
 // record, whose predecessors are never read).
-func (v *viterbiState) snapshot(w *ckWriter) {
-	w.i64(v.steps)
-	w.f64(v.maxPrev)
-	w.i64(v.kCur)
-	w.i64(v.commitT)
-	w.i64(v.forced)
-	w.u64(v.activeSum)
-	w.i64(v.activePeak)
-	w.u64(v.topkPruned)
-	w.i64(v.mergeCommits)
-	w.u64(v.stencilHits)
-	w.u64(v.stencilMisses)
-	w.u32(uint32(len(v.committed)))
+func (v *viterbiState) snapshot(w *codec.Encoder) {
+	w.I64(int64(v.steps))
+	w.F64(v.maxPrev)
+	w.I64(int64(v.kCur))
+	w.I64(int64(v.commitT))
+	w.I64(int64(v.forced))
+	w.U64(v.activeSum)
+	w.I64(int64(v.activePeak))
+	w.U64(v.topkPruned)
+	w.I64(int64(v.mergeCommits))
+	w.U64(v.stencilHits)
+	w.U64(v.stencilMisses)
+	w.U32(uint32(len(v.committed)))
 	for _, c := range v.committed {
-		w.i32(c)
+		w.U32(uint32(c))
 	}
-	w.u32(uint32(len(v.active)))
+	w.U32(uint32(len(v.active)))
 	for j, i := range v.active {
-		w.u32(uint32(i))
-		w.f64(v.score[j])
+		w.U32(uint32(i))
+		w.F64(v.score[j])
 	}
-	w.u32(uint32(len(v.back)))
+	w.U32(uint32(len(v.back)))
 	for j, rec := range v.back {
-		w.u32(uint32(len(rec.cells)))
+		w.U32(uint32(len(rec.cells)))
 		for _, c := range rec.cells {
-			w.i32(c)
+			w.U32(uint32(c))
 		}
 		if j > 0 {
 			for _, p := range rec.pred {
-				w.i32(p)
+				w.U32(uint32(p))
 			}
 		}
 	}
@@ -344,13 +268,13 @@ func (v *viterbiState) snapshot(w *ckWriter) {
 // tracker's Received count when it was taken) without a full restore —
 // the WAL replay point after a handoff.
 func SnapshotCovered(data []byte) (int, error) {
-	r := &ckReader{b: data}
-	if r.u32() != ckptMagic || r.u8() != ckptVersion {
+	r := codec.NewDecoder(data)
+	if r.U32() != ckptMagic || r.U8() != ckptVersion {
 		return 0, ErrBadSnapshot
 	}
-	n := int(r.u64())
-	if r.err != nil {
-		return 0, r.err
+	n := int(r.U64())
+	if r.Err() != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadSnapshot, r.Err())
 	}
 	return n, nil
 }
@@ -364,17 +288,26 @@ func SnapshotCovered(data []byte) (int, error) {
 // OnWindow/OnCommit hooks are not restored; set them before the next
 // Push.
 func (tr *Tracker) RestoreStream(data []byte) (*StreamTracker, error) {
-	r := &ckReader{b: data}
-	if r.u32() != ckptMagic {
+	r := codec.NewDecoder(data)
+	st, err := tr.restoreStream(&r)
+	if err != nil && !errors.Is(err, ErrBadSnapshot) {
+		// The decoder's latched short read or bad count.
+		err = fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	return st, err
+}
+
+func (tr *Tracker) restoreStream(r *codec.Decoder) (*StreamTracker, error) {
+	if r.U32() != ckptMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
-	if v := r.u8(); v != ckptVersion {
+	if v := r.U8(); v != ckptVersion {
 		return nil, fmt.Errorf("%w: format version %d", ErrBadSnapshot, v)
 	}
-	received := int(r.u64())
-	nx, ny := int(r.u32()), int(r.u32())
-	if r.err != nil {
-		return nil, r.err
+	received := int(r.U64())
+	nx, ny := int(r.U32()), int(r.U32())
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if nx != tr.grid.nx || ny != tr.grid.ny {
 		return nil, fmt.Errorf("%w: snapshot grid %dx%d, tracker grid %dx%d",
@@ -382,18 +315,18 @@ func (tr *Tracker) RestoreStream(data []byte) (*StreamTracker, error) {
 	}
 
 	var cfg Config
-	cfg.Window = r.f64()
-	cfg.SpuriousPhase = r.f64()
-	cfg.ModeDelta = r.f64()
-	cfg.StepDelta = r.f64()
-	cfg.DeltaBeta = r.f64()
-	cfg.Elevation = r.f64()
-	cfg.VMax = r.f64()
-	cfg.BeamTopK = r.i64()
-	cfg.CommitLag = r.i64()
-	configFromBits(&cfg, uint16(r.u32()))
-	if r.err != nil {
-		return nil, r.err
+	cfg.Window = r.F64()
+	cfg.SpuriousPhase = r.F64()
+	cfg.ModeDelta = r.F64()
+	cfg.StepDelta = r.F64()
+	cfg.DeltaBeta = r.F64()
+	cfg.Elevation = r.F64()
+	cfg.VMax = r.F64()
+	cfg.BeamTopK = int(r.I64())
+	cfg.CommitLag = int(r.I64())
+	configFromBits(&cfg, uint16(r.U32()))
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	st := tr.StreamWith(cfg)
 	st.received = received
@@ -401,61 +334,61 @@ func (tr *Tracker) RestoreStream(data []byte) (*StreamTracker, error) {
 		return nil, err
 	}
 
-	st.started = r.boolean()
-	st.startT = r.f64()
-	st.openIdx = r.i64()
-	st.spurious = r.i64()
-	st.dropped = r.i64()
+	st.started = r.Bool()
+	st.startT = r.F64()
+	st.openIdx = int(r.I64())
+	st.spurious = int(r.I64())
+	st.dropped = int(r.I64())
 	for a := 0; a < 2; a++ {
-		st.open.rssSum[a] = r.f64()
-		st.open.count[a] = r.i64()
-		n := r.count(8)
-		if r.err != nil {
-			return nil, r.err
+		st.open.rssSum[a] = r.F64()
+		st.open.count[a] = int(r.I64())
+		n := r.Count(int(r.U32()), 8)
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		st.open.phases[a] = make([]float64, n)
 		for i := range st.open.phases[a] {
-			st.open.phases[a][i] = r.f64()
+			st.open.phases[a][i] = r.F64()
 		}
 	}
-	nw := r.count(ckptWindowSize)
-	if r.err != nil {
-		return nil, r.err
+	nw := r.Count(int(r.U32()), ckptWindowSize)
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	st.windows = make([]Window, nw)
 	for i := range st.windows {
 		win := &st.windows[i]
-		win.T = r.f64()
+		win.T = r.F64()
 		for a := 0; a < 2; a++ {
-			win.RSS[a] = r.f64()
-			win.Phase[a] = r.f64()
-			win.Count[a] = r.i64()
+			win.RSS[a] = r.F64()
+			win.Phase[a] = r.F64()
+			win.Count[a] = int(r.I64())
 		}
-		flags := r.u8()
+		flags := r.U8()
 		win.Valid = flags&1 != 0
 		win.Spurious[0] = flags&2 != 0
 		win.Spurious[1] = flags&4 != 0
 	}
 
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if err := st.checkWindowing(); err != nil {
 		return nil, err
 	}
 
-	st.eb.rot = r.i64()
-	st.eb.trans = r.i64()
-	st.eb.az.started = r.boolean()
-	st.eb.az.alpha = r.f64()
-	st.eb.az.sector = Sector(r.i64())
-	st.eb.az.correction = r.f64()
-	st.eb.az.corrected = r.boolean()
+	st.eb.rot = int(r.I64())
+	st.eb.trans = int(r.I64())
+	st.eb.az.started = r.Bool()
+	st.eb.az.alpha = r.F64()
+	st.eb.az.sector = Sector(int(r.I64()))
+	st.eb.az.correction = r.F64()
+	st.eb.az.corrected = r.Bool()
 	if s := st.eb.az.sector; s < SectorUnknown || s > Sector3 {
 		return nil, fmt.Errorf("%w: sector %d", ErrBadSnapshot, s)
 	}
 
-	switch kind := r.u8(); kind {
+	switch kind := r.U8(); kind {
 	case ckptDecoderNone:
 	case ckptDecoderVit:
 		vit, err := restoreViterbi(tr.grid, st.cfg, r)
@@ -465,21 +398,21 @@ func (tr *Tracker) RestoreStream(data []byte) (*StreamTracker, error) {
 		st.vit = vit
 	case ckptDecoderGre:
 		gre := &greedyState{g: tr.grid, cfg: st.cfg}
-		gre.cur = r.i64()
-		n := r.count(8)
-		if r.err != nil {
-			return nil, r.err
+		gre.cur = int(r.I64())
+		n := r.Count(int(r.U32()), 8)
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		gre.path = make([]int, n)
 		for i := range gre.path {
-			gre.path[i] = r.i64()
+			gre.path[i] = int(r.I64())
 		}
 		st.gre = gre
 	default:
 		return nil, fmt.Errorf("%w: decoder kind %d", ErrBadSnapshot, kind)
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if err := st.checkDecoder(); err != nil {
 		return nil, err
@@ -562,22 +495,22 @@ func (s *StreamTracker) checkDecoder() error {
 // borrow their scratch from the grid. Every invariant step,
 // path and the commit walks index by is checked here, so a corrupt
 // snapshot fails with ErrBadSnapshot instead of a later panic.
-func restoreViterbi(g *grid, cfg Config, r *ckReader) (*viterbiState, error) {
+func restoreViterbi(g *grid, cfg Config, r *codec.Decoder) (*viterbiState, error) {
 	n := g.size()
 	v := &viterbiState{g: g, cfg: cfg}
-	v.steps = r.i64()
-	v.maxPrev = r.f64()
-	v.kCur = r.i64()
-	v.commitT = r.i64()
-	v.forced = r.i64()
-	v.activeSum = r.u64()
-	v.activePeak = r.i64()
-	v.topkPruned = r.u64()
-	v.mergeCommits = r.i64()
-	v.stencilHits = r.u64()
-	v.stencilMisses = r.u64()
-	if r.err != nil {
-		return nil, r.err
+	v.steps = int(r.I64())
+	v.maxPrev = r.F64()
+	v.kCur = int(r.I64())
+	v.commitT = int(r.I64())
+	v.forced = int(r.I64())
+	v.activeSum = r.U64()
+	v.activePeak = int(r.I64())
+	v.topkPruned = r.U64()
+	v.mergeCommits = int(r.I64())
+	v.stencilHits = r.U64()
+	v.stencilMisses = r.U64()
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if v.commitT < -1 || v.steps <= v.commitT || v.steps > math.MaxInt32 {
 		return nil, fmt.Errorf("%w: commit point %d at step %d", ErrBadSnapshot, v.commitT, v.steps)
@@ -592,9 +525,9 @@ func restoreViterbi(g *grid, cfg Config, r *ckReader) (*viterbiState, error) {
 		return nil, fmt.Errorf("%w: beam bound %d", ErrBadSnapshot, v.kCur)
 	}
 
-	nc := r.count(4)
-	if r.err != nil {
-		return nil, r.err
+	nc := r.Count(int(r.U32()), 4)
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	// The commit machinery appends after committed[commitT].
 	if nc != v.commitT+1 {
@@ -603,14 +536,14 @@ func restoreViterbi(g *grid, cfg Config, r *ckReader) (*viterbiState, error) {
 	}
 	v.committed = make([]int32, nc)
 	for i := range v.committed {
-		if v.committed[i] = r.i32(); v.committed[i] < 0 || int(v.committed[i]) >= n {
+		if v.committed[i] = int32(r.U32()); v.committed[i] < 0 || int(v.committed[i]) >= n {
 			return nil, fmt.Errorf("%w: committed cell %d out of grid", ErrBadSnapshot, v.committed[i])
 		}
 	}
 
-	na := r.count(12)
-	if r.err != nil {
-		return nil, r.err
+	na := r.Count(int(r.U32()), 12)
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if na == 0 {
 		return nil, fmt.Errorf("%w: empty beam", ErrBadSnapshot)
@@ -619,10 +552,10 @@ func restoreViterbi(g *grid, cfg Config, r *ckReader) (*viterbiState, error) {
 	v.score = make([]float64, 0, na)
 	best := math.Inf(-1)
 	for i := 0; i < na; i++ {
-		idx := int(r.u32())
-		val := r.f64()
-		if r.err != nil {
-			return nil, r.err
+		idx := int(r.U32())
+		val := r.F64()
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		if idx >= n || (i > 0 && idx <= v.active[i-1]) {
 			return nil, fmt.Errorf("%w: active cell %d out of grid or order", ErrBadSnapshot, idx)
@@ -639,9 +572,9 @@ func restoreViterbi(g *grid, cfg Config, r *ckReader) (*viterbiState, error) {
 	}
 
 	// One record per undecided time, commitT+1..steps.
-	nb := r.count(4)
-	if r.err != nil {
-		return nil, r.err
+	nb := r.Count(int(r.U32()), 4)
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if nb != v.steps-v.commitT {
 		return nil, fmt.Errorf("%w: %d beam records for times %d..%d",
@@ -649,9 +582,9 @@ func restoreViterbi(g *grid, cfg Config, r *ckReader) (*viterbiState, error) {
 	}
 	v.back = make([]beamRecord, 0, nb)
 	for j := 0; j < nb; j++ {
-		m := r.count(4)
-		if r.err != nil {
-			return nil, r.err
+		m := r.Count(int(r.U32()), 4)
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		if m == 0 || m > n {
 			return nil, fmt.Errorf("%w: beam record of %d states", ErrBadSnapshot, m)
@@ -665,30 +598,26 @@ func restoreViterbi(g *grid, cfg Config, r *ckReader) (*viterbiState, error) {
 		} else {
 			rec = makeRecord(m)
 		}
-		// Each half is read in one take: a record is the bulk of a
+		// Each half is read in one bulk take: a record is the bulk of a
 		// snapshot, and per-element reads dominated the restore.
-		raw := r.take(4 * m)
-		if raw == nil {
-			return nil, r.err
+		rec.cells = r.Int32s(rec.cells, m)
+		if j > 0 {
+			rec.pred = r.Int32s(rec.pred, m)
 		}
-		for k := 0; k < m; k++ {
-			c := int32(binary.BigEndian.Uint32(raw[4*k:]))
+		if r.Err() != nil {
+			return nil, r.Err()
+		}
+		for k, c := range rec.cells {
 			if c < 0 || int(c) >= n || (k > 0 && c <= rec.cells[k-1]) {
 				return nil, fmt.Errorf("%w: record cell %d out of grid or order", ErrBadSnapshot, c)
 			}
-			rec.cells = append(rec.cells, c)
 		}
 		if j > 0 {
 			np := int32(len(v.back[j-1].cells))
-			if raw = r.take(4 * m); raw == nil {
-				return nil, r.err
-			}
-			for k := 0; k < m; k++ {
-				p := int32(binary.BigEndian.Uint32(raw[4*k:]))
+			for _, p := range rec.pred {
 				if p < 0 || p >= np {
 					return nil, fmt.Errorf("%w: predecessor %d outside a record of %d", ErrBadSnapshot, p, np)
 				}
-				rec.pred = append(rec.pred, p)
 			}
 		}
 		v.back = append(v.back, rec)

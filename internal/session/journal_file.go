@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sync"
 
+	"polardraw/internal/codec"
 	"polardraw/internal/reader"
 )
 
@@ -19,10 +19,18 @@ import (
 // queries cost the same as the memory journal.
 //
 // The log is a sequence of length-prefixed records
-// (u32 length | u8 type | payload); a torn final record (crash mid
-// write) is detected by its short length and ignored on replay. The
-// file is fsynced on SaveCheckpoint and Close — between checkpoints an
-// OS crash may lose the tail, which the ack/retention semantics treat
+// (u32 length | u8 type | payload), written with internal/codec; a
+// torn final record (crash mid write) is detected by its short length
+// and ignored on replay. Every payload starts with the EPC as a
+// u32-prefixed string. A sample record is codec's shared Sample layout
+// (the EPC, T, antenna byte, RSS, Phase), the same one opDispatchSeq
+// frames carry; an open record adds the shared OpenOptions layout
+// (EncodeOpenOptions), the same one the wire's hello and open frames
+// carry; a checkpoint record adds the covered count (u64) and the
+// snapshot as a u32-prefixed blob; a release record is the EPC alone.
+//
+// The file is fsynced on SaveCheckpoint and Close — between
+// checkpoints an OS crash may lose the tail, which the ack/retention semantics treat
 // exactly like samples past the last checkpoint: resent by the client
 // or replayed from the previous checkpoint. The file is append-only
 // and grows with traffic; Release trims the in-memory index, and the
@@ -83,39 +91,34 @@ func (j *FileJournal) replayFile() error {
 }
 
 func (j *FileJournal) applyRecord(rec []byte) error {
-	d := fjDecoder{b: rec[1:]}
+	d := codec.NewDecoder(rec[1:])
 	switch rec[0] {
 	case fjRecSample:
-		var smp reader.Sample
-		smp.EPC = d.str()
-		smp.T = d.f64()
-		smp.Antenna = int(d.u8())
-		smp.RSS = d.f64()
-		smp.Phase = d.f64()
-		if d.err != nil {
-			return d.err
+		smp := d.Sample()
+		if d.Err() != nil {
+			return d.Err()
 		}
 		_, err := j.mem.Append(smp)
 		return err
 	case fjRecOpen:
-		epc := d.str()
-		opts := d.options()
-		if d.err != nil {
-			return d.err
+		epc := d.Str32()
+		opts := DecodeOpenOptions(&d)
+		if d.Err() != nil {
+			return d.Err()
 		}
 		return j.mem.RecordOpen(epc, opts)
 	case fjRecCheckpoint:
-		epc := d.str()
-		covered := int(d.u64())
-		state := d.bytes()
-		if d.err != nil {
-			return d.err
+		epc := d.Str32()
+		covered := int(d.U64())
+		state := d.Blob()
+		if d.Err() != nil {
+			return d.Err()
 		}
 		return j.mem.SaveCheckpoint(epc, covered, state)
 	case fjRecRelease:
-		epc := d.str()
-		if d.err != nil {
-			return d.err
+		epc := d.Str32()
+		if d.Err() != nil {
+			return d.Err()
 		}
 		j.mem.Release(epc)
 		return nil
@@ -124,168 +127,26 @@ func (j *FileJournal) applyRecord(rec []byte) error {
 	}
 }
 
-// appendRecord writes one length-prefixed record. Callers hold j.mu.
-func (j *FileJournal) appendRecord(rec []byte) error {
+// appendRecord writes one length-prefixed record, the type byte and
+// payload e holds. Callers hold j.mu.
+func (j *FileJournal) appendRecord(e *codec.Encoder) error {
+	if err := e.Err(); err != nil {
+		return err
+	}
+	rec := e.Bytes()
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(rec)))
-	buf := append(hdr[:], rec...)
-	_, err := j.f.Write(buf)
+	_, err := j.f.Write(append(hdr[:], rec...))
 	return err
-}
-
-// fjEncoder/fjDecoder are the journal file's tiny codec (the session
-// package cannot reuse shardrpc's — shardrpc imports session).
-type fjEncoder struct{ b []byte }
-
-func (e *fjEncoder) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *fjEncoder) u32(v uint32) { e.b = binary.BigEndian.AppendUint32(e.b, v) }
-func (e *fjEncoder) u64(v uint64) { e.b = binary.BigEndian.AppendUint64(e.b, v) }
-func (e *fjEncoder) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
-func (e *fjEncoder) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-func (e *fjEncoder) bytes(p []byte) {
-	e.u32(uint32(len(p)))
-	e.b = append(e.b, p...)
-}
-func (e *fjEncoder) options(o OpenOptions) {
-	var mask uint8
-	if o.BeamTopK != nil {
-		mask |= 1
-	}
-	if o.CommitLag != nil {
-		mask |= 2
-	}
-	if o.BeamAdaptive != nil {
-		mask |= 4
-	}
-	if o.Window != nil {
-		mask |= 8
-	}
-	if o.SpuriousPhase != nil {
-		mask |= 16
-	}
-	e.u8(mask)
-	if o.BeamTopK != nil {
-		e.u64(uint64(*o.BeamTopK))
-	}
-	if o.CommitLag != nil {
-		e.u64(uint64(*o.CommitLag))
-	}
-	if o.BeamAdaptive != nil {
-		if *o.BeamAdaptive {
-			e.u8(1)
-		} else {
-			e.u8(0)
-		}
-	}
-	if o.Window != nil {
-		e.f64(*o.Window)
-	}
-	if o.SpuriousPhase != nil {
-		e.f64(*o.SpuriousPhase)
-	}
-}
-
-type fjDecoder struct {
-	b   []byte
-	err error
-}
-
-func (d *fjDecoder) take(n int) []byte {
-	if d.err != nil || len(d.b) < n || n < 0 {
-		d.err = io.ErrUnexpectedEOF
-		return nil
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
-	return out
-}
-
-func (d *fjDecoder) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *fjDecoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (d *fjDecoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (d *fjDecoder) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *fjDecoder) str() string {
-	n := int(d.u32())
-	b := d.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-func (d *fjDecoder) bytes() []byte {
-	n := int(d.u32())
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
-func (d *fjDecoder) options() OpenOptions {
-	var o OpenOptions
-	mask := d.u8()
-	if mask&1 != 0 {
-		v := int(d.u64())
-		o.BeamTopK = &v
-	}
-	if mask&2 != 0 {
-		v := int(d.u64())
-		o.CommitLag = &v
-	}
-	if mask&4 != 0 {
-		v := d.u8() != 0
-		o.BeamAdaptive = &v
-	}
-	if mask&8 != 0 {
-		v := d.f64()
-		o.Window = &v
-	}
-	if mask&16 != 0 {
-		v := d.f64()
-		o.SpuriousPhase = &v
-	}
-	return o
 }
 
 // Append implements Journal: the record hits the file before the index.
 func (j *FileJournal) Append(smp reader.Sample) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	e := fjEncoder{b: []byte{fjRecSample}}
-	e.str(smp.EPC)
-	e.f64(smp.T)
-	e.u8(uint8(smp.Antenna))
-	e.f64(smp.RSS)
-	e.f64(smp.Phase)
-	if err := j.appendRecord(e.b); err != nil {
+	e := codec.NewEncoder([]byte{fjRecSample})
+	e.Sample(smp)
+	if err := j.appendRecord(&e); err != nil {
 		return 0, err
 	}
 	return j.mem.Append(smp)
@@ -295,10 +156,10 @@ func (j *FileJournal) Append(smp reader.Sample) (int, error) {
 func (j *FileJournal) RecordOpen(epc string, opts OpenOptions) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	e := fjEncoder{b: []byte{fjRecOpen}}
-	e.str(epc)
-	e.options(opts)
-	if err := j.appendRecord(e.b); err != nil {
+	e := codec.NewEncoder([]byte{fjRecOpen})
+	e.Str32(epc)
+	EncodeOpenOptions(&e, opts)
+	if err := j.appendRecord(&e); err != nil {
 		return err
 	}
 	return j.mem.RecordOpen(epc, opts)
@@ -312,11 +173,11 @@ func (j *FileJournal) Options(epc string) (OpenOptions, bool) { return j.mem.Opt
 func (j *FileJournal) SaveCheckpoint(epc string, covered int, state []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	e := fjEncoder{b: []byte{fjRecCheckpoint}}
-	e.str(epc)
-	e.u64(uint64(covered))
-	e.bytes(state)
-	if err := j.appendRecord(e.b); err != nil {
+	e := codec.NewEncoder([]byte{fjRecCheckpoint})
+	e.Str32(epc)
+	e.U64(uint64(covered))
+	e.Blob(state)
+	if err := j.appendRecord(&e); err != nil {
 		return err
 	}
 	if err := j.f.Sync(); err != nil {
@@ -337,9 +198,9 @@ func (j *FileJournal) Replay(epc string, from int) []reader.Sample { return j.me
 func (j *FileJournal) Release(epc string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	e := fjEncoder{b: []byte{fjRecRelease}}
-	e.str(epc)
-	_ = j.appendRecord(e.b)
+	e := codec.NewEncoder([]byte{fjRecRelease})
+	e.Str32(epc)
+	_ = j.appendRecord(&e)
 	j.mem.Release(epc)
 	if len(j.mem.EPCs()) == 0 {
 		if err := j.f.Truncate(0); err == nil {

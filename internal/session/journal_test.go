@@ -324,3 +324,39 @@ func TestFileJournalGoldenBytes(t *testing.T) {
 		t.Fatalf("journal file bytes changed:\n got %x\nwant %x", got, want)
 	}
 }
+
+// TestFileJournalAntennaOutOfByteRange: an antenna index the sample
+// layout's byte cannot hold (LLRP AntennaID 257 is index 256) must
+// replay as an index the two-antenna tracker skips, as the live
+// tracker skipped the original, never wrap onto antenna 0 or 1.
+func TestFileJournalAntennaOutOfByteRange(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	j1, err := NewFileJournal(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ant := range []int{256, 257, -2} {
+		smp := jSample("pen-a", i)
+		smp.Antenna = ant
+		if _, err := j1.Append(smp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := NewFileJournal(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	got := j2.Replay("pen-a", 0)
+	if len(got) != 3 {
+		t.Fatalf("replayed %d samples, want 3", len(got))
+	}
+	for i, smp := range got {
+		if smp.Antenna == 0 || smp.Antenna == 1 {
+			t.Fatalf("sample %d replayed on antenna %d, which the tracker decodes", i, smp.Antenna)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package session
 import (
 	"fmt"
 
+	"polardraw/internal/codec"
 	"polardraw/internal/core"
 )
 
@@ -85,4 +86,76 @@ func (o OpenOptions) Apply(base core.Config) core.Config {
 		base.SpuriousPhase = *o.SpuriousPhase
 	}
 	return base
+}
+
+// OpenOptions presence bits, in field order.
+const (
+	optBeamTopK = 1 << iota
+	optCommitLag
+	optBeamAdaptive
+	optWindow
+	optSpuriousPhase
+)
+
+// EncodeOpenOptions appends the one OpenOptions layout, shared by the
+// journal's open record and the shard wire's hello and open frames: a
+// presence bitmask byte, then each set field in bit order (ints as
+// u64, BeamAdaptive as a byte, floats as f64). The bitmask keeps an
+// explicit zero distinct from "inherit the backend default", so
+// options survive the journal and the wire exactly.
+func EncodeOpenOptions(e *codec.Encoder, o OpenOptions) {
+	var mask uint8
+	for i, set := range [...]bool{o.BeamTopK != nil, o.CommitLag != nil,
+		o.BeamAdaptive != nil, o.Window != nil, o.SpuriousPhase != nil} {
+		if set {
+			mask |= 1 << i
+		}
+	}
+	e.U8(mask)
+	if o.BeamTopK != nil {
+		e.I64(int64(*o.BeamTopK))
+	}
+	if o.CommitLag != nil {
+		e.I64(int64(*o.CommitLag))
+	}
+	if o.BeamAdaptive != nil {
+		e.Bool(*o.BeamAdaptive)
+	}
+	if o.Window != nil {
+		e.F64(*o.Window)
+	}
+	if o.SpuriousPhase != nil {
+		e.F64(*o.SpuriousPhase)
+	}
+}
+
+// DecodeOpenOptions reads the layout EncodeOpenOptions writes. On a
+// short read it returns zero options, with the error latched in d.
+func DecodeOpenOptions(d *codec.Decoder) OpenOptions {
+	var o OpenOptions
+	mask := d.U8()
+	if mask&optBeamTopK != 0 {
+		v := int(d.I64())
+		o.BeamTopK = &v
+	}
+	if mask&optCommitLag != 0 {
+		v := int(d.I64())
+		o.CommitLag = &v
+	}
+	if mask&optBeamAdaptive != 0 {
+		v := d.Bool()
+		o.BeamAdaptive = &v
+	}
+	if mask&optWindow != 0 {
+		v := d.F64()
+		o.Window = &v
+	}
+	if mask&optSpuriousPhase != 0 {
+		v := d.F64()
+		o.SpuriousPhase = &v
+	}
+	if d.Err() != nil {
+		return OpenOptions{}
+	}
+	return o
 }

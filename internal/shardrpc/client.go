@@ -7,13 +7,13 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	mrand "math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"polardraw/internal/codec"
 	"polardraw/internal/core"
 	"polardraw/internal/reader"
 	"polardraw/internal/session"
@@ -267,14 +267,12 @@ func (c *Client) handshake(conn net.Conn) error {
 		return unavailable(err)
 	}
 	defer conn.SetDeadline(time.Time{})
-	var e enc
-	e.u8(protoVersion)
-	if err := e.str(c.clientID); err != nil {
-		return err
+	var e codec.Encoder
+	if encodeHello(&e, protoVersion, c.clientID, c.cfg.Defaults); e.Err() != nil {
+		return e.Err()
 	}
-	encodeOpenOptions(&e, c.cfg.Defaults)
 	bw := bufio.NewWriter(conn)
-	if err := writeFrame(bw, opHello, e.b); err != nil {
+	if err := writeFrame(bw, opHello, e.Bytes()); err != nil {
 		return unavailable(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -288,11 +286,11 @@ func (c *Client) handshake(conn net.Conn) error {
 		return fmt.Errorf("%w: server at %s answered the handshake with opcode 0x%02x",
 			ErrVersionMismatch, c.cfg.Addr, op)
 	}
-	d := dec{b: payload}
+	d := codec.NewDecoder(payload)
 	if err := checkStatus(&d); err != nil {
 		return err
 	}
-	if v := d.u8(); d.err != nil || v != protoVersion {
+	if v := d.U8(); d.Err() != nil || v != protoVersion {
 		return fmt.Errorf("%w: server at %s answered v%d, client speaks v%d",
 			ErrVersionMismatch, c.cfg.Addr, v, protoVersion)
 	}
@@ -386,11 +384,11 @@ func (c *Client) subscribePayloadLocked() []byte {
 	if c.subFilter.IsZero() {
 		return nil
 	}
-	var e enc
-	if err := encodeSubscribeOptions(&e, c.subFilter); err != nil {
+	var e codec.Encoder
+	if encodeSubscribeOptions(&e, c.subFilter); e.Err() != nil {
 		return nil // unencodable filter: fall back to unfiltered
 	}
-	return e.b
+	return e.Bytes()
 }
 
 // teardownLocked invalidates the current connection and fails every
@@ -443,16 +441,16 @@ func (c *Client) sendSeqLocked(resend bool) error {
 	for i, ss := range batch {
 		smps[i] = ss.smp
 	}
-	var e enc
-	e.u64(batch[0].seq)
-	if err := encodeSamples(&e, smps); err != nil {
+	var e codec.Encoder
+	e.U64(batch[0].seq)
+	if encodeSamples(&e, smps); e.Err() != nil {
 		// Unencodable samples (oversized EPC) can never cross the wire:
 		// drop them for good.
 		c.lost.Add(uint64(len(batch)))
 		c.sent, c.pending = nil, nil
-		return err
+		return e.Err()
 	}
-	if err := c.writeFrameLocked(opDispatchSeq, e.b); err != nil {
+	if err := c.writeFrameLocked(opDispatchSeq, e.Bytes()); err != nil {
 		return err
 	}
 	c.tel.batch.Observe(float64(len(batch)))
@@ -548,19 +546,18 @@ func (c *Client) readLoop(conn net.Conn, gen int) {
 			if stale {
 				return // superseded connection; stop delivering
 			}
-			d := dec{b: payload}
+			d := codec.NewDecoder(payload)
 			ev := decodeEvent(&d)
-			if d.err != nil {
-				fail(d.err)
+			if d.Err() != nil {
+				fail(d.Err())
 				return
 			}
 			c.events.Publish(ev)
 		case opAck:
-			d := dec{b: payload}
-			acked := d.u64()
-			rejected := d.u64()
-			if d.err != nil {
-				fail(d.err)
+			d := codec.NewDecoder(payload)
+			acked, rejected := d.U64(), d.U64()
+			if d.Err() != nil {
+				fail(d.Err())
 				return
 			}
 			c.mu.Lock()
@@ -669,13 +666,33 @@ func (c *Client) call(ctx context.Context, op byte, payload []byte, force bool) 
 	}
 }
 
+// request sends one request frame holding e's payload (none when e is
+// nil) and returns a decoder over the response body, past its statusOK
+// byte; a failure response comes back as its reconstructed error.
+func (c *Client) request(ctx context.Context, op byte, e *codec.Encoder) (codec.Decoder, error) {
+	var req []byte
+	if e != nil {
+		if err := e.Err(); err != nil {
+			return codec.Decoder{}, err
+		}
+		req = e.Bytes()
+	}
+	payload, err := c.call(ctx, op, req, false)
+	if err != nil {
+		return codec.Decoder{}, err
+	}
+	d := codec.NewDecoder(payload)
+	err = checkStatus(&d)
+	return d, err
+}
+
 // checkStatus consumes the response status byte, returning the
 // reconstructed error for failures.
-func checkStatus(d *dec) error {
-	if d.u8() == statusErr {
+func checkStatus(d *codec.Decoder) error {
+	if d.U8() == statusErr {
 		return decodeError(d)
 	}
-	return d.err
+	return d.Err()
 }
 
 // Open eagerly creates the EPC's session on the remote shard with
@@ -686,17 +703,11 @@ func (c *Client) Open(ctx context.Context, epc string, opts session.OpenOptions)
 	if err := opts.Validate(); err != nil {
 		return err
 	}
-	var e enc
-	if err := e.str(epc); err != nil {
-		return err
-	}
-	encodeOpenOptions(&e, opts)
-	payload, err := c.call(ctx, opOpen, e.b, false)
-	if err != nil {
-		return err
-	}
-	d := dec{b: payload}
-	return checkStatus(&d)
+	var e codec.Encoder
+	e.Str(epc)
+	session.EncodeOpenOptions(&e, opts)
+	_, err := c.request(ctx, opOpen, &e)
+	return err
 }
 
 // Dispatch buffers one sample, flushing when the batch fills. Errors
@@ -838,19 +849,12 @@ type Event = session.Event
 // histogram buckets intact so snapshots from multiple shards merge
 // into cluster-wide quantiles.
 func (c *Client) Telemetry(ctx context.Context) (telemetry.Snapshot, error) {
-	payload, err := c.call(ctx, opTelemetry, nil, false)
+	d, err := c.request(ctx, opTelemetry, nil)
 	if err != nil {
 		return telemetry.Snapshot{}, err
 	}
-	d := dec{b: payload}
-	if err := checkStatus(&d); err != nil {
-		return telemetry.Snapshot{}, err
-	}
 	s := decodeTelemetry(&d)
-	if d.err != nil {
-		return telemetry.Snapshot{}, d.err
-	}
-	return s, nil
+	return s, d.Err()
 }
 
 // SetMembership pushes a cluster membership epoch to the server, which
@@ -861,16 +865,10 @@ func (c *Client) SetMembership(ctx context.Context, m session.Membership) error 
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	var e enc
-	if err := encodeMembership(&e, m); err != nil {
-		return err
-	}
-	payload, err := c.call(ctx, opMembership, e.b, false)
-	if err != nil {
-		return err
-	}
-	d := dec{b: payload}
-	return checkStatus(&d)
+	var e codec.Encoder
+	encodeMembership(&e, m)
+	_, err := c.request(ctx, opMembership, &e)
+	return err
 }
 
 // Detach shuts the client down without closing the remote manager:
@@ -901,126 +899,83 @@ func (c *Client) Detach() error {
 // Export removes the EPC's session from the remote shard and returns
 // its serialized mid-stroke state (see session.Manager.Export).
 func (c *Client) Export(ctx context.Context, epc string) ([]byte, error) {
-	var e enc
-	if err := e.str(epc); err != nil {
-		return nil, err
-	}
-	payload, err := c.call(ctx, opExport, e.b, false)
+	var e codec.Encoder
+	e.Str(epc)
+	d, err := c.request(ctx, opExport, &e)
 	if err != nil {
 		return nil, err
 	}
-	d := dec{b: payload}
-	if err := checkStatus(&d); err != nil {
-		return nil, err
-	}
-	state := d.bytes()
-	if d.err != nil {
-		return nil, d.err
-	}
-	return state, nil
+	state := d.Blob()
+	return state, d.Err()
 }
 
 // Restore rebuilds the EPC's session on the remote shard from an
 // exported snapshot (see session.Manager.Restore).
 func (c *Client) Restore(ctx context.Context, epc string, state []byte) error {
-	var e enc
-	if err := e.str(epc); err != nil {
-		return err
-	}
-	e.bytes(state)
-	payload, err := c.call(ctx, opRestore, e.b, false)
-	if err != nil {
-		return err
-	}
-	d := dec{b: payload}
-	return checkStatus(&d)
+	var e codec.Encoder
+	e.Str(epc)
+	e.Blob(state)
+	_, err := c.request(ctx, opRestore, &e)
+	return err
 }
 
 // Finalize evicts one remote session and returns its decoded
 // trajectory. The wire encoding is bit-exact, so the Result matches
 // what an in-process backend would have produced.
 func (c *Client) Finalize(ctx context.Context, epc string) (*core.Result, error) {
-	var e enc
-	if err := e.str(epc); err != nil {
-		return nil, err
-	}
-	payload, err := c.call(ctx, opFinalize, e.b, false)
+	var e codec.Encoder
+	e.Str(epc)
+	d, err := c.request(ctx, opFinalize, &e)
 	if err != nil {
 		return nil, err
 	}
-	d := dec{b: payload}
-	if err := checkStatus(&d); err != nil {
-		return nil, err
-	}
 	res := decodeResult(&d)
-	if d.err != nil {
-		return nil, d.err
-	}
-	return res, nil
+	return res, d.Err()
 }
 
 // Stats snapshots the remote manager's live sessions.
 func (c *Client) Stats(ctx context.Context) ([]session.Stats, error) {
-	payload, err := c.call(ctx, opStats, nil, false)
+	d, err := c.request(ctx, opStats, nil)
 	if err != nil {
 		return nil, err
 	}
-	d := dec{b: payload}
-	if err := checkStatus(&d); err != nil {
-		return nil, err
-	}
-	n := int(d.u32())
-	if d.err != nil || n > d.remaining()/minStatsWire+1 {
-		return nil, io.ErrUnexpectedEOF
-	}
+	n := d.Count(int(d.U32()), minStatsWire)
 	out := make([]session.Stats, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		out = append(out, decodeStats(&d))
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	return out, nil
 }
 
 // EvictIdle sweeps the remote manager.
 func (c *Client) EvictIdle(ctx context.Context, maxIdle time.Duration) (int, error) {
-	var e enc
-	e.i64(int64(maxIdle))
-	payload, err := c.call(ctx, opEvictIdle, e.b, false)
+	var e codec.Encoder
+	e.I64(int64(maxIdle))
+	d, err := c.request(ctx, opEvictIdle, &e)
 	if err != nil {
 		return 0, err
 	}
-	d := dec{b: payload}
-	if err := checkStatus(&d); err != nil {
-		return 0, err
-	}
-	n := int(d.u32())
-	return n, d.err
+	n := int(d.U32())
+	return n, d.Err()
 }
 
 // Len returns the remote manager's live session count.
 func (c *Client) Len(ctx context.Context) (int, error) {
-	payload, err := c.call(ctx, opLen, nil, false)
+	d, err := c.request(ctx, opLen, nil)
 	if err != nil {
 		return 0, err
 	}
-	d := dec{b: payload}
-	if err := checkStatus(&d); err != nil {
-		return 0, err
-	}
-	n := int(d.u32())
-	return n, d.err
+	n := int(d.U32())
+	return n, d.Err()
 }
 
 // Ping round-trips an empty request, verifying the server is live.
 func (c *Client) Ping(ctx context.Context) error {
-	payload, err := c.call(ctx, opPing, nil, false)
-	if err != nil {
-		return err
-	}
-	d := dec{b: payload}
-	return checkStatus(&d)
+	_, err := c.request(ctx, opPing, nil)
+	return err
 }
 
 // Close flushes buffered samples, closes the remote manager, and
@@ -1052,24 +1007,21 @@ func (c *Client) Close(ctx context.Context) (map[string]*core.Result, error) {
 	if callErr != nil {
 		return nil, callErr
 	}
-	d := dec{b: payload}
+	d := codec.NewDecoder(payload)
 	if err := checkStatus(&d); err != nil {
 		return nil, err
 	}
-	n := int(d.u32())
-	if d.err != nil || n > d.remaining()/20+1 {
-		return nil, io.ErrUnexpectedEOF
-	}
+	// Each entry costs at least an empty EPC and an empty Result.
+	n := d.Count(int(d.U32()), 2+minResultWire)
 	out := make(map[string]*core.Result, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		epc := d.str()
-		res := decodeResult(&d)
-		if d.err == nil {
+	for i := 0; i < n && d.Err() == nil; i++ {
+		epc := d.Str()
+		if res := decodeResult(&d); res != nil {
 			out[epc] = res
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	return out, nil
 }

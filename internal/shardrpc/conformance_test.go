@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"polardraw/internal/codec"
 	"polardraw/internal/core"
 	"polardraw/internal/geom"
 	"polardraw/internal/reader"
@@ -32,13 +33,17 @@ import (
 // version, client identity, default OpenOptions — naming version v.
 func helloPayload(t *testing.T, v byte, clientID string) []byte {
 	t.Helper()
-	var e enc
-	e.u8(v)
-	if err := e.str(clientID); err != nil {
-		t.Fatal(err)
+	var e codec.Encoder
+	if encodeHello(&e, v, clientID, session.OpenOptions{}); e.Err() != nil {
+		t.Fatal(e.Err())
 	}
-	encodeOpenOptions(&e, session.OpenOptions{})
-	return e.b
+	return e.Bytes()
+}
+
+// decoderOf returns a decoder over b, for one-line decode calls.
+func decoderOf(b []byte) *codec.Decoder {
+	d := codec.NewDecoder(b)
+	return &d
 }
 
 // fakeHelloServer accepts connections and answers each first frame
@@ -98,6 +103,8 @@ func TestVersionHandshake(t *testing.T) {
 	}{
 		{"non-hello first frame", opPing, nil},
 		{"older hello", opHello, helloPayload(t, protoVersion-1, "old-client")},
+		// A v5 client's hello, in the v5 layout (BeamTopK as an i32).
+		{"v5 hello", opHello, []byte{5, 0, 2, 'v', '5', 0x01, 0, 0, 0, 64}},
 		{"newer hello", opHello, helloPayload(t, protoVersion+1, "new-client")},
 	} {
 		raw, err := net.Dial("tcp", addr)
@@ -114,7 +121,7 @@ func TestVersionHandshake(t *testing.T) {
 		if err != nil || op != opResp {
 			t.Fatalf("%s: op=0x%02x err=%v", tc.name, op, err)
 		}
-		d := dec{b: payload}
+		d := codec.NewDecoder(payload)
 		if err := checkStatus(&d); !errors.Is(err, ErrVersionMismatch) {
 			t.Fatalf("%s: error = %v, want ErrVersionMismatch", tc.name, err)
 		}
@@ -449,11 +456,11 @@ func TestDeadRemoteDeadline(t *testing.T) {
 				if _, _, err := readFrame(br); err != nil {
 					return
 				}
-				var e enc
-				e.u8(statusOK)
-				e.u8(protoVersion)
+				var e codec.Encoder
+				e.U8(statusOK)
+				e.U8(protoVersion)
 				bw := bufio.NewWriter(c)
-				writeFrame(bw, opResp, e.b)
+				writeFrame(bw, opResp, e.Bytes())
 				bw.Flush()
 				for {
 					if _, _, err := readFrame(br); err != nil {
@@ -507,12 +514,12 @@ func TestProtoOpenOptionsRoundTrip(t *testing.T) {
 		{BeamTopK: &k, CommitLag: &zero, BeamAdaptive: &adaptive, Window: &window, SpuriousPhase: &spur},
 	}
 	for i, o := range cases {
-		var e enc
-		encodeOpenOptions(&e, o)
-		d := dec{b: e.b}
-		got := decodeOpenOptions(&d)
-		if d.err != nil || d.remaining() != 0 {
-			t.Fatalf("case %d: err=%v remaining=%d", i, d.err, d.remaining())
+		var e codec.Encoder
+		session.EncodeOpenOptions(&e, o)
+		d := codec.NewDecoder(e.Bytes())
+		got := session.DecodeOpenOptions(&d)
+		if d.Err() != nil || d.Remaining() != 0 {
+			t.Fatalf("case %d: err=%v remaining=%d", i, d.Err(), d.Remaining())
 		}
 		if !reflect.DeepEqual(got, o) {
 			t.Fatalf("case %d: round-trip %+v != %+v", i, got, o)
@@ -520,12 +527,12 @@ func TestProtoOpenOptionsRoundTrip(t *testing.T) {
 	}
 	// Truncations latch an error, never fabricate options.
 	full := cases[3]
-	var e enc
-	encodeOpenOptions(&e, full)
-	for cut := 0; cut < len(e.b); cut++ {
-		d := dec{b: e.b[:cut]}
-		decodeOpenOptions(&d)
-		if d.err == nil {
+	var e codec.Encoder
+	session.EncodeOpenOptions(&e, full)
+	for cut := 0; cut < len(e.Bytes()); cut++ {
+		d := codec.NewDecoder(e.Bytes()[:cut])
+		session.DecodeOpenOptions(&d)
+		if d.Err() == nil {
 			t.Fatalf("truncation at %d undetected", cut)
 		}
 	}
@@ -773,11 +780,11 @@ func dialRaw(t *testing.T, addr, clientID string) (net.Conn, *bufio.Writer) {
 	if err != nil || op != opResp {
 		t.Fatalf("hello: op=0x%02x err=%v", op, err)
 	}
-	d := dec{b: payload}
+	d := codec.NewDecoder(payload)
 	if err := checkStatus(&d); err != nil {
 		t.Fatal(err)
 	}
-	if v := d.u8(); v != protoVersion {
+	if v := d.U8(); v != protoVersion {
 		t.Fatalf("server answered v%d, want v%d", v, protoVersion)
 	}
 	return raw, bw
@@ -795,10 +802,10 @@ func readAck(t *testing.T, conn net.Conn) (acked, rejected uint64) {
 		if op != opAck {
 			continue
 		}
-		d := dec{b: payload}
-		acked, rejected = d.u64(), d.u64()
-		if d.err != nil {
-			t.Fatal(d.err)
+		d := codec.NewDecoder(payload)
+		acked, rejected = d.U64(), d.U64()
+		if d.Err() != nil {
+			t.Fatal(d.Err())
 		}
 		return acked, rejected
 	}
@@ -817,12 +824,10 @@ func TestSeqDedupIdempotence(t *testing.T) {
 	for i := range batch {
 		batch[i] = reader.Sample{EPC: "pen-dup", T: float64(i) * 0.01, RSS: -60}
 	}
-	var df enc
-	df.u64(1) // first sequence number
-	if err := encodeSamples(&df, batch); err != nil {
-		t.Fatal(err)
-	}
-	frame := df.b
+	var df codec.Encoder
+	df.U64(1) // first sequence number
+	encodeSamples(&df, batch)
+	frame := df.Bytes()
 
 	conn, bw := dialRaw(t, addr, "dup-client")
 	defer conn.Close()
@@ -1032,33 +1037,33 @@ func TestMembershipCodecRoundTrip(t *testing.T) {
 			{Name: "shard-c", Addr: "", State: session.StateSpare},
 		},
 	}
-	var e enc
-	if err := encodeMembership(&e, m); err != nil {
-		t.Fatalf("encode: %v", err)
+	var e codec.Encoder
+	if encodeMembership(&e, m); e.Err() != nil {
+		t.Fatalf("encode: %v", e.Err())
 	}
-	got := decodeMembership(&dec{b: e.b})
+	got := decodeMembership(decoderOf(e.Bytes()))
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, m)
 	}
 
 	// Oversized tables refuse to encode rather than truncating the u16.
-	var big enc
-	err := encodeMembership(&big, session.Membership{
+	var big codec.Encoder
+	encodeMembership(&big, session.Membership{
 		Epoch:   1,
 		Members: make([]session.Member, 0x10000),
 	})
-	if err == nil {
+	if big.Err() == nil {
 		t.Fatal("encoding 65536 members succeeded, want error")
 	}
 
 	// A hostile count with no backing bytes must fail decode, not
 	// allocate.
-	var h enc
-	h.u64(7)
-	h.u16(0xffff)
-	d := &dec{b: h.b}
-	if got := decodeMembership(d); d.err == nil || len(got.Members) != 0 {
-		t.Fatalf("hostile count decoded to %+v (err %v), want error", got, d.err)
+	var h codec.Encoder
+	h.U64(7)
+	h.U16(0xffff)
+	d := decoderOf(h.Bytes())
+	if got := decodeMembership(d); d.Err() == nil || len(got.Members) != 0 {
+		t.Fatalf("hostile count decoded to %+v (err %v), want error", got, d.Err())
 	}
 }
 
@@ -1073,11 +1078,11 @@ func TestMembershipEventRoundTrip(t *testing.T) {
 			{Name: "shard-b", Addr: "h:2", State: session.StateDraining},
 		},
 	}
-	var e enc
-	if err := encodeEvent(&e, ev); err != nil {
-		t.Fatalf("encode: %v", err)
+	var e codec.Encoder
+	if encodeEvent(&e, ev); e.Err() != nil {
+		t.Fatalf("encode: %v", e.Err())
 	}
-	got := decodeEvent(&dec{b: e.b})
+	got := decodeEvent(decoderOf(e.Bytes()))
 	if !reflect.DeepEqual(got, ev) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, ev)
 	}
@@ -1088,10 +1093,10 @@ func TestMembershipEventRoundTrip(t *testing.T) {
 // epochs must survive the wire as errors.Is-able values.
 func TestV4ErrorCodesRoundTrip(t *testing.T) {
 	for _, sentinel := range []error{session.ErrOverloaded, session.ErrStaleEpoch} {
-		var e enc
-		encodeError(&e, sentinel)
-		d := &dec{b: e.b}
-		if st := d.u8(); st != statusErr {
+		var e codec.Encoder
+		encodeStatus(&e, sentinel)
+		d := decoderOf(e.Bytes())
+		if st := d.U8(); st != statusErr {
 			t.Fatalf("status byte %d, want statusErr", st)
 		}
 		err := decodeError(d)
@@ -1271,33 +1276,31 @@ func TestSubscribeOptionsCodecRoundTrip(t *testing.T) {
 		Kinds: []session.EventKind{session.EventCommit, session.EventEvict},
 		EPCs:  []string{"pen-1", "pen-2"},
 	}
-	var e enc
-	if err := encodeSubscribeOptions(&e, o); err != nil {
-		t.Fatalf("encode: %v", err)
+	var e codec.Encoder
+	if encodeSubscribeOptions(&e, o); e.Err() != nil {
+		t.Fatalf("encode: %v", e.Err())
 	}
-	got := decodeSubscribeOptions(&dec{b: e.b})
+	got := decodeSubscribeOptions(decoderOf(e.Bytes()))
 	if !reflect.DeepEqual(got, o) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, o)
 	}
 
 	// The zero filter encodes and decodes back to zero (subscribe to
 	// everything).
-	var ze enc
-	if err := encodeSubscribeOptions(&ze, session.SubscribeOptions{}); err != nil {
-		t.Fatalf("encode zero: %v", err)
-	}
-	if got := decodeSubscribeOptions(&dec{b: ze.b}); !got.IsZero() {
+	var ze codec.Encoder
+	encodeSubscribeOptions(&ze, session.SubscribeOptions{})
+	if got := decodeSubscribeOptions(decoderOf(ze.Bytes())); !got.IsZero() {
 		t.Fatalf("zero filter round-tripped to %+v", got)
 	}
 
 	// A hostile EPC count with no backing bytes must fail decode, not
 	// allocate.
-	var h enc
-	h.u16(0)      // no kinds
-	h.u16(0xffff) // claimed EPCs, no bytes
-	d := &dec{b: h.b}
-	if got := decodeSubscribeOptions(d); d.err == nil || len(got.EPCs) != 0 {
-		t.Fatalf("hostile count decoded to %+v (err %v), want error", got, d.err)
+	var h codec.Encoder
+	h.U16(0)      // no kinds
+	h.U16(0xffff) // claimed EPCs, no bytes
+	d := decoderOf(h.Bytes())
+	if got := decodeSubscribeOptions(d); d.Err() == nil || len(got.EPCs) != 0 {
+		t.Fatalf("hostile count decoded to %+v (err %v), want error", got, d.Err())
 	}
 }
 
@@ -1314,34 +1317,30 @@ func TestTelemetryCodecRoundTrip(t *testing.T) {
 	}
 	want := r.Snapshot()
 
-	var e enc
-	if err := encodeTelemetry(&e, want); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	got := decodeTelemetry(&dec{b: e.b})
+	var e codec.Encoder
+	encodeTelemetry(&e, want)
+	got := decodeTelemetry(decoderOf(e.Bytes()))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
 
 	// An empty snapshot round-trips to empty maps, not nils.
-	var ee enc
-	if err := encodeTelemetry(&ee, telemetry.Snapshot{}); err != nil {
-		t.Fatalf("encode empty: %v", err)
-	}
-	if got := decodeTelemetry(&dec{b: ee.b}); len(got.Counters) != 0 ||
+	var ee codec.Encoder
+	encodeTelemetry(&ee, telemetry.Snapshot{})
+	if got := decodeTelemetry(decoderOf(ee.Bytes())); len(got.Counters) != 0 ||
 		len(got.Gauges) != 0 || len(got.Histograms) != 0 ||
 		got.Counters == nil || got.Gauges == nil || got.Histograms == nil {
 		t.Fatalf("empty snapshot round-tripped to %+v", got)
 	}
 
 	// Hostile histogram count with no backing bytes.
-	var hb enc
-	hb.u32(0)          // counters
-	hb.u32(0)          // gauges
-	hb.u32(0xffffffff) // claimed histograms, no bytes
-	d := &dec{b: hb.b}
-	if got := decodeTelemetry(d); d.err == nil || len(got.Histograms) != 0 {
-		t.Fatalf("hostile count decoded to %+v (err %v), want error", got, d.err)
+	var hb codec.Encoder
+	hb.U32(0)          // counters
+	hb.U32(0)          // gauges
+	hb.U32(0xffffffff) // claimed histograms, no bytes
+	d := decoderOf(hb.Bytes())
+	if got := decodeTelemetry(d); d.Err() == nil || len(got.Histograms) != 0 {
+		t.Fatalf("hostile count decoded to %+v (err %v), want error", got, d.Err())
 	}
 }
 

@@ -11,9 +11,14 @@
 //
 //	frame  := length(uint32 BE) opcode(byte) payload
 //
-// where length covers the opcode and payload. Scalars are big-endian;
-// floats are IEEE-754 bit patterns (so a trajectory survives the wire
-// bit-identically); strings are uint16 length + bytes.
+// where length covers the opcode and payload. Payloads are written with
+// internal/codec, the codec checkpoints and the file journal share:
+// scalars are big-endian; floats are IEEE-754 bit patterns (so a
+// trajectory survives the wire bit-identically); strings are uint16
+// length + bytes, except the EPC inside a dispatched sample; snapshots
+// are uint32 length + bytes. Dispatched samples use codec's Sample
+// layout and OpenOptions use session's layout (EncodeOpenOptions), the
+// same bytes the file journal writes, so the two cannot drift.
 //
 // Every connection begins with a version handshake: the client's first
 // frame is opHello carrying the protocol version, a stable client
@@ -66,15 +71,13 @@ import (
 	"math"
 	"time"
 
+	"polardraw/internal/codec"
 	"polardraw/internal/core"
 	"polardraw/internal/geom"
 	"polardraw/internal/reader"
 	"polardraw/internal/session"
 	"polardraw/internal/telemetry"
 )
-
-// timeFromUnixNano rebuilds a wall-clock timestamp from its wire form.
-func timeFromUnixNano(ns int64) time.Time { return time.Unix(0, ns) }
 
 // maxFrame bounds a frame so a corrupt length prefix cannot allocate
 // unbounded memory. 64 MiB comfortably holds the largest legitimate
@@ -83,8 +86,9 @@ const maxFrame = 64 << 20
 
 // protoVersion is the wire protocol version exchanged in the opHello
 // handshake. Both ends must name the same one; bump it whenever a frame
-// layout changes.
-const protoVersion = 5
+// layout changes. Version 6 moved samples and OpenOptions to the
+// layouts the file journal writes.
+const protoVersion = 6
 
 // Opcodes. Requests occupy the low range; 0x40 marks server pushes,
 // 0x80 marks responses.
@@ -171,225 +175,119 @@ func readFrame(r io.Reader) (op byte, payload []byte, err error) {
 	return buf[0], buf[1:], nil
 }
 
-// enc appends big-endian primitives to a byte slice.
-type enc struct{ b []byte }
-
-func (e *enc) u8(v byte) { e.b = append(e.b, v) }
-func (e *enc) u16(v uint16) {
-	e.b = binary.BigEndian.AppendUint16(e.b, v)
-}
-func (e *enc) u32(v uint32) {
-	e.b = binary.BigEndian.AppendUint32(e.b, v)
-}
-func (e *enc) u64(v uint64) {
-	e.b = binary.BigEndian.AppendUint64(e.b, v)
-}
-func (e *enc) i64(v int64)   { e.u64(uint64(v)) }
-func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *enc) boolean(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *enc) str(s string) error {
-	if len(s) > math.MaxUint16 {
-		return fmt.Errorf("shardrpc: string too long (%d bytes)", len(s))
-	}
-	e.u16(uint16(len(s)))
-	e.b = append(e.b, s...)
-	return nil
-}
-
-// bytes writes a u32-length-prefixed blob (session snapshots exceed
-// the u16 string bound).
-func (e *enc) bytes(p []byte) {
-	e.u32(uint32(len(p)))
-	e.b = append(e.b, p...)
-}
-
-// dec consumes big-endian primitives from a byte slice; the first
-// truncation latches err and every later read returns zero values.
-type dec struct {
-	b   []byte
-	err error
-}
-
-func (d *dec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.b) < n {
-		d.err = io.ErrUnexpectedEOF
-		return nil
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
-	return out
-}
-
-func (d *dec) u8() byte {
-	if b := d.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-func (d *dec) u16() uint16 {
-	if b := d.take(2); b != nil {
-		return binary.BigEndian.Uint16(b)
-	}
-	return 0
-}
-func (d *dec) u32() uint32 {
-	if b := d.take(4); b != nil {
-		return binary.BigEndian.Uint32(b)
-	}
-	return 0
-}
-func (d *dec) u64() uint64 {
-	if b := d.take(8); b != nil {
-		return binary.BigEndian.Uint64(b)
-	}
-	return 0
-}
-func (d *dec) i64() int64    { return int64(d.u64()) }
-func (d *dec) f64() float64  { return math.Float64frombits(d.u64()) }
-func (d *dec) boolean() bool { return d.u8() != 0 }
-func (d *dec) str() string {
-	n := int(d.u16())
-	if b := d.take(n); b != nil {
-		return string(b)
-	}
-	return ""
-}
-
-// bytes reads a u32-length-prefixed blob, copying out of the frame
-// buffer.
-func (d *dec) bytes() []byte {
-	n := int(d.u32())
-	if b := d.take(n); b != nil {
-		return append([]byte(nil), b...)
-	}
-	return nil
-}
-
-// remaining reports unread payload bytes (a well-formed message ends
-// with zero).
-func (d *dec) remaining() int { return len(d.b) }
-
 // --- message bodies ---
+//
+// Each body is written with internal/codec. Encoders latch their first
+// error (a string over codec.MaxStr, a table too large for its count)
+// in the Encoder; decoders latch theirs in the Decoder and bound every
+// count by the unread payload before allocating.
 
-func encodeSample(e *enc, s reader.Sample) error {
-	e.f64(s.T)
-	e.u32(uint32(int32(s.Antenna)))
-	e.f64(s.RSS)
-	e.f64(s.Phase)
-	return e.str(s.EPC)
-}
-
-func decodeSample(d *dec) reader.Sample {
-	return reader.Sample{
-		T:       d.f64(),
-		Antenna: int(int32(d.u32())),
-		RSS:     d.f64(),
-		Phase:   d.f64(),
-		EPC:     d.str(),
-	}
-}
-
-func encodeSamples(e *enc, batch []reader.Sample) error {
-	e.u32(uint32(len(batch)))
+// Sample batches (opDispatchSeq, after the first sequence number): a
+// u32 count, then each sample in codec's shared Sample layout, the one
+// the file journal writes.
+func encodeSamples(e *codec.Encoder, batch []reader.Sample) {
+	e.U32(uint32(len(batch)))
 	for _, s := range batch {
-		if err := encodeSample(e, s); err != nil {
-			return err
-		}
+		e.Sample(s)
 	}
-	return nil
 }
 
-func decodeSamples(d *dec) []reader.Sample {
-	n := int(d.u32())
-	if d.err != nil || n < 0 {
-		return nil
-	}
-	// Guard against a hostile count: each sample is ≥ 30 bytes.
-	if n > d.remaining()/30+1 {
-		d.err = io.ErrUnexpectedEOF
-		return nil
-	}
+func decodeSamples(d *codec.Decoder) []reader.Sample {
+	n := d.Count(int(d.U32()), codec.SampleSize)
 	out := make([]reader.Sample, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, decodeSample(d))
+	for i := 0; i < n && d.Err() == nil; i++ {
+		out = append(out, d.Sample())
 	}
 	return out
 }
 
-func encodeWindow(e *enc, w core.Window) {
-	e.f64(w.T)
-	for a := 0; a < 2; a++ {
-		e.f64(w.RSS[a])
-		e.f64(w.Phase[a])
-		e.u32(uint32(w.Count[a]))
-		e.boolean(w.Spurious[a])
-	}
-	e.boolean(w.Valid)
+// hello is the opHello payload: the protocol version, the client
+// identity, and the client's default decode OpenOptions in the shared
+// session layout.
+func encodeHello(e *codec.Encoder, version byte, clientID string, defaults session.OpenOptions) {
+	e.U8(version)
+	e.Str(clientID)
+	session.EncodeOpenOptions(e, defaults)
 }
 
-func decodeWindow(d *dec) core.Window {
-	var w core.Window
-	w.T = d.f64()
-	for a := 0; a < 2; a++ {
-		w.RSS[a] = d.f64()
-		w.Phase[a] = d.f64()
-		w.Count[a] = int(d.u32())
-		w.Spurious[a] = d.boolean()
+func decodeHello(d *codec.Decoder) (version byte, clientID string, defaults session.OpenOptions) {
+	return d.U8(), d.Str(), session.DecodeOpenOptions(d)
+}
+
+// Point lists (trajectories, commit segments): u32 count, then X and
+// Y per point.
+func encodePoints(e *codec.Encoder, pts geom.Polyline) {
+	e.U32(uint32(len(pts)))
+	for _, p := range pts {
+		e.F64(p.X)
+		e.F64(p.Y)
 	}
-	w.Valid = d.boolean()
+}
+
+func decodePoints(d *codec.Decoder) geom.Polyline {
+	n := d.Count(int(d.U32()), 16)
+	pts := make(geom.Polyline, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		pts = append(pts, geom.Vec2{X: d.F64(), Y: d.F64()})
+	}
+	return pts
+}
+
+// windowWire is the encoded size of one core.Window.
+const windowWire = 8 + 2*(8+8+4+1) + 1
+
+func encodeWindow(e *codec.Encoder, w core.Window) {
+	e.F64(w.T)
+	for a := 0; a < 2; a++ {
+		e.F64(w.RSS[a])
+		e.F64(w.Phase[a])
+		e.U32(uint32(w.Count[a]))
+		e.Bool(w.Spurious[a])
+	}
+	e.Bool(w.Valid)
+}
+
+func decodeWindow(d *codec.Decoder) core.Window {
+	var w core.Window
+	w.T = d.F64()
+	for a := 0; a < 2; a++ {
+		w.RSS[a] = d.F64()
+		w.Phase[a] = d.F64()
+		w.Count[a] = int(d.U32())
+		w.Spurious[a] = d.Bool()
+	}
+	w.Valid = d.Bool()
 	return w
 }
 
-func encodeResult(e *enc, r *core.Result) {
-	e.u32(uint32(len(r.Trajectory)))
-	for _, p := range r.Trajectory {
-		e.f64(p.X)
-		e.f64(p.Y)
-	}
-	e.u32(uint32(len(r.Windows)))
+func encodeResult(e *codec.Encoder, r *core.Result) {
+	encodePoints(e, r.Trajectory)
+	e.U32(uint32(len(r.Windows)))
 	for _, w := range r.Windows {
 		encodeWindow(e, w)
 	}
-	e.f64(r.Correction)
-	e.u32(uint32(r.RotationalWindows))
-	e.u32(uint32(r.TranslationalWindows))
-	e.u32(uint32(r.SpuriousRejected))
+	e.F64(r.Correction)
+	e.U32(uint32(r.RotationalWindows))
+	e.U32(uint32(r.TranslationalWindows))
+	e.U32(uint32(r.SpuriousRejected))
 }
 
-func decodeResult(d *dec) *core.Result {
-	r := &core.Result{}
-	n := int(d.u32())
-	if d.err != nil || n > d.remaining()/16+1 {
-		d.err = io.ErrUnexpectedEOF
-		return nil
-	}
-	r.Trajectory = make(geom.Polyline, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		r.Trajectory = append(r.Trajectory, geom.Vec2{X: d.f64(), Y: d.f64()})
-	}
-	n = int(d.u32())
-	if d.err != nil || n > d.remaining()/49+1 {
-		d.err = io.ErrUnexpectedEOF
-		return nil
-	}
+// minResultWire is the encoded size of a Result with no points and no
+// windows.
+const minResultWire = 4 + 4 + 8 + 3*4
+
+func decodeResult(d *codec.Decoder) *core.Result {
+	r := &core.Result{Trajectory: decodePoints(d)}
+	n := d.Count(int(d.U32()), windowWire)
 	r.Windows = make([]core.Window, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		r.Windows = append(r.Windows, decodeWindow(d))
 	}
-	r.Correction = d.f64()
-	r.RotationalWindows = int(d.u32())
-	r.TranslationalWindows = int(d.u32())
-	r.SpuriousRejected = int(d.u32())
-	if d.err != nil {
+	r.Correction = d.F64()
+	r.RotationalWindows = int(d.U32())
+	r.TranslationalWindows = int(d.U32())
+	r.SpuriousRejected = int(d.U32())
+	if d.Err() != nil {
 		return nil
 	}
 	return r
@@ -401,59 +299,56 @@ func decodeResult(d *dec) *core.Result {
 // change both.
 const minStatsWire = 131
 
-func encodeStats(e *enc, st session.Stats) error {
-	if err := e.str(st.EPC); err != nil {
-		return err
-	}
-	e.u64(st.Received)
-	e.u64(st.QueueDropped)
-	e.u64(st.LateDropped)
-	e.u32(uint32(st.Windows))
-	e.f64(st.QueueMeanDepth)
-	e.u32(uint32(st.QueueMaxDepth))
-	e.f64(st.Live.X)
-	e.f64(st.Live.Y)
-	e.boolean(st.HasLive)
-	e.u32(uint32(st.Decode.Steps))
-	e.u32(uint32(st.Decode.ActiveLast))
-	e.f64(st.Decode.ActiveMean)
-	e.u32(uint32(st.Decode.ActivePeak))
-	e.f64(st.Decode.Occupancy)
-	e.u32(uint32(st.Decode.BeamK))
-	e.u64(st.Decode.TopKPruned)
-	e.u32(uint32(st.Decode.MergeCommits))
-	e.u32(uint32(st.Decode.ForcedCommits))
-	e.u64(st.Decode.StencilHits)
-	e.u64(st.Decode.StencilMisses)
-	e.i64(st.LastActive.UnixNano())
-	return nil
+func encodeStats(e *codec.Encoder, st session.Stats) {
+	e.Str(st.EPC)
+	e.U64(st.Received)
+	e.U64(st.QueueDropped)
+	e.U64(st.LateDropped)
+	e.U32(uint32(st.Windows))
+	e.F64(st.QueueMeanDepth)
+	e.U32(uint32(st.QueueMaxDepth))
+	e.F64(st.Live.X)
+	e.F64(st.Live.Y)
+	e.Bool(st.HasLive)
+	e.U32(uint32(st.Decode.Steps))
+	e.U32(uint32(st.Decode.ActiveLast))
+	e.F64(st.Decode.ActiveMean)
+	e.U32(uint32(st.Decode.ActivePeak))
+	e.F64(st.Decode.Occupancy)
+	e.U32(uint32(st.Decode.BeamK))
+	e.U64(st.Decode.TopKPruned)
+	e.U32(uint32(st.Decode.MergeCommits))
+	e.U32(uint32(st.Decode.ForcedCommits))
+	e.U64(st.Decode.StencilHits)
+	e.U64(st.Decode.StencilMisses)
+	e.I64(st.LastActive.UnixNano())
 }
 
-func decodeStats(d *dec) session.Stats {
+func decodeStats(d *codec.Decoder) session.Stats {
 	st := session.Stats{
-		EPC:            d.str(),
-		Received:       d.u64(),
-		QueueDropped:   d.u64(),
-		LateDropped:    d.u64(),
-		Windows:        int(d.u32()),
-		QueueMeanDepth: d.f64(),
-		QueueMaxDepth:  int(d.u32()),
+		EPC:            d.Str(),
+		Received:       d.U64(),
+		QueueDropped:   d.U64(),
+		LateDropped:    d.U64(),
+		Windows:        int(d.U32()),
+		QueueMeanDepth: d.F64(),
+		QueueMaxDepth:  int(d.U32()),
 	}
-	st.Live.X = d.f64()
-	st.Live.Y = d.f64()
-	st.HasLive = d.boolean()
-	st.Decode.Steps = int(d.u32())
-	st.Decode.ActiveLast = int(d.u32())
-	st.Decode.ActiveMean = d.f64()
-	st.Decode.ActivePeak = int(d.u32())
-	st.Decode.Occupancy = d.f64()
-	st.Decode.BeamK = int(d.u32())
-	st.Decode.TopKPruned = d.u64()
-	st.Decode.MergeCommits = int(d.u32())
-	st.Decode.ForcedCommits = int(d.u32())
-	st.Decode.StencilHits = d.u64()
-	st.Decode.StencilMisses = d.u64()
-	st.LastActive = timeFromUnixNano(d.i64())
+	st.Live.X = d.F64()
+	st.Live.Y = d.F64()
+	st.HasLive = d.Bool()
+	st.Decode.Steps = int(d.U32())
+	st.Decode.ActiveLast = int(d.U32())
+	st.Decode.ActiveMean = d.F64()
+	st.Decode.ActivePeak = int(d.U32())
+	st.Decode.Occupancy = d.F64()
+	st.Decode.BeamK = int(d.U32())
+	st.Decode.TopKPruned = d.U64()
+	st.Decode.MergeCommits = int(d.U32())
+	st.Decode.ForcedCommits = int(d.U32())
+	st.Decode.StencilHits = d.U64()
+	st.Decode.StencilMisses = d.U64()
+	st.LastActive = time.Unix(0, d.I64())
 	return st
 }
 
@@ -511,141 +406,62 @@ func errFromCode(code byte, msg string) error {
 	}
 }
 
-// encodeError maps an error onto a statusErr response payload so the
-// client can reconstruct it.
-func encodeError(e *enc, err error) {
-	e.u8(statusErr)
-	e.u8(errCodeOf(err))
-	_ = e.str(err.Error())
+// encodeStatus starts a response payload: statusOK for a nil err,
+// else statusErr with the error's wire code and message, so the client
+// can reconstruct it. The message is clipped to codec.MaxStr, so an
+// error response always encodes.
+func encodeStatus(e *codec.Encoder, err error) {
+	if err == nil {
+		e.U8(statusOK)
+		return
+	}
+	msg := err.Error()
+	e.U8(statusErr)
+	e.U8(errCodeOf(err))
+	e.Str(msg[:min(len(msg), codec.MaxStr)])
 }
 
 // decodeError reconstructs the error from a statusErr payload (the
 // status byte already consumed).
-func decodeError(d *dec) error {
-	code := d.u8()
-	msg := d.str()
-	if d.err != nil {
-		return d.err
+func decodeError(d *codec.Decoder) error {
+	code, msg := d.U8(), d.Str()
+	if d.Err() != nil {
+		return d.Err()
 	}
 	return errFromCode(code, msg)
-}
-
-// OpenOptions wire form: one presence bitmask byte, then the set
-// fields in bit order. Pointer-typed options survive the round trip
-// exactly — including explicit zeroes, which the bitmask keeps
-// distinct from "inherit the backend default" — so a remote open is
-// bit-equivalent to a local one.
-const (
-	optBeamTopK byte = 1 << iota
-	optCommitLag
-	optBeamAdaptive
-	optWindow
-	optSpuriousPhase
-)
-
-func encodeOpenOptions(e *enc, o session.OpenOptions) {
-	var mask byte
-	if o.BeamTopK != nil {
-		mask |= optBeamTopK
-	}
-	if o.CommitLag != nil {
-		mask |= optCommitLag
-	}
-	if o.BeamAdaptive != nil {
-		mask |= optBeamAdaptive
-	}
-	if o.Window != nil {
-		mask |= optWindow
-	}
-	if o.SpuriousPhase != nil {
-		mask |= optSpuriousPhase
-	}
-	e.u8(mask)
-	if o.BeamTopK != nil {
-		e.u32(uint32(int32(*o.BeamTopK)))
-	}
-	if o.CommitLag != nil {
-		e.u32(uint32(int32(*o.CommitLag)))
-	}
-	if o.BeamAdaptive != nil {
-		e.boolean(*o.BeamAdaptive)
-	}
-	if o.Window != nil {
-		e.f64(*o.Window)
-	}
-	if o.SpuriousPhase != nil {
-		e.f64(*o.SpuriousPhase)
-	}
-}
-
-func decodeOpenOptions(d *dec) session.OpenOptions {
-	var o session.OpenOptions
-	mask := d.u8()
-	if mask&optBeamTopK != 0 {
-		v := int(int32(d.u32()))
-		o.BeamTopK = &v
-	}
-	if mask&optCommitLag != 0 {
-		v := int(int32(d.u32()))
-		o.CommitLag = &v
-	}
-	if mask&optBeamAdaptive != 0 {
-		v := d.boolean()
-		o.BeamAdaptive = &v
-	}
-	if mask&optWindow != 0 {
-		v := d.f64()
-		o.Window = &v
-	}
-	if mask&optSpuriousPhase != 0 {
-		v := d.f64()
-		o.SpuriousPhase = &v
-	}
-	if d.err != nil {
-		return session.OpenOptions{}
-	}
-	return o
 }
 
 // Membership wire form: epoch u64, member count u16, then per member
 // name, addr, and state byte. Used by opMembership requests and the
 // EventMembership push.
-func encodeMembership(e *enc, m session.Membership) error {
-	e.u64(m.Epoch)
-	if len(m.Members) > 0xffff {
-		return fmt.Errorf("shardrpc: membership too large (%d members)", len(m.Members))
+func encodeMembership(e *codec.Encoder, m session.Membership) {
+	if len(m.Members) > math.MaxUint16 {
+		e.Fail(fmt.Errorf("shardrpc: membership too large (%d members)", len(m.Members)))
+		return
 	}
-	e.u16(uint16(len(m.Members)))
+	e.U64(m.Epoch)
+	e.U16(uint16(len(m.Members)))
 	for _, mem := range m.Members {
-		if err := e.str(mem.Name); err != nil {
-			return err
-		}
-		if err := e.str(mem.Addr); err != nil {
-			return err
-		}
-		e.u8(byte(mem.State))
+		e.Str(mem.Name)
+		e.Str(mem.Addr)
+		e.U8(byte(mem.State))
 	}
-	return nil
 }
 
-func decodeMembership(d *dec) session.Membership {
-	m := session.Membership{Epoch: d.u64()}
-	n := int(d.u16())
-	// Each member costs at least 5 bytes (two empty strings + state);
-	// reject hostile counts before allocating.
-	if d.err != nil || n > d.remaining()/5+1 {
-		d.err = io.ErrUnexpectedEOF
-		return session.Membership{}
-	}
+func decodeMembership(d *codec.Decoder) session.Membership {
+	m := session.Membership{Epoch: d.U64()}
+	// Each member costs at least 5 bytes: two empty strings and the
+	// state.
+	n := d.Count(int(d.U16()), 5)
 	m.Members = make([]session.Member, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		m.Members = append(m.Members, session.Member{
-			Name:  d.str(),
-			Addr:  d.str(),
-			State: session.BackendState(d.u8()),
+			Name:  d.Str(),
+			Addr:  d.Str(),
+			State: session.BackendState(d.U8()),
 		})
 	}
-	if d.err != nil {
+	if d.Err() != nil {
 		return session.Membership{}
 	}
 	return m
@@ -655,49 +471,37 @@ func decodeMembership(d *dec) session.Membership {
 // count u16 + one byte per kind, then EPC count u16 + one string per
 // EPC. An empty opSubscribe payload means unfiltered, the same as zero
 // options.
-func encodeSubscribeOptions(e *enc, o session.SubscribeOptions) error {
-	if len(o.Kinds) > 0xffff || len(o.EPCs) > 0xffff {
-		return fmt.Errorf("shardrpc: subscribe filter too large (%d kinds, %d epcs)", len(o.Kinds), len(o.EPCs))
+func encodeSubscribeOptions(e *codec.Encoder, o session.SubscribeOptions) {
+	if len(o.Kinds) > math.MaxUint16 || len(o.EPCs) > math.MaxUint16 {
+		e.Fail(fmt.Errorf("shardrpc: subscribe filter too large (%d kinds, %d epcs)", len(o.Kinds), len(o.EPCs)))
+		return
 	}
-	e.u16(uint16(len(o.Kinds)))
+	e.U16(uint16(len(o.Kinds)))
 	for _, k := range o.Kinds {
-		e.u8(byte(k))
+		e.U8(byte(k))
 	}
-	e.u16(uint16(len(o.EPCs)))
+	e.U16(uint16(len(o.EPCs)))
 	for _, epc := range o.EPCs {
-		if err := e.str(epc); err != nil {
-			return err
-		}
+		e.Str(epc)
 	}
-	return nil
 }
 
-func decodeSubscribeOptions(d *dec) session.SubscribeOptions {
+func decodeSubscribeOptions(d *codec.Decoder) session.SubscribeOptions {
 	var o session.SubscribeOptions
-	nk := int(d.u16())
-	if d.err != nil || nk > d.remaining() {
-		d.err = io.ErrUnexpectedEOF
-		return session.SubscribeOptions{}
-	}
-	if nk > 0 {
+	if nk := d.Count(int(d.U16()), 1); nk > 0 {
 		o.Kinds = make([]session.EventKind, 0, nk)
-		for i := 0; i < nk && d.err == nil; i++ {
-			o.Kinds = append(o.Kinds, session.EventKind(d.u8()))
+		for i := 0; i < nk && d.Err() == nil; i++ {
+			o.Kinds = append(o.Kinds, session.EventKind(d.U8()))
 		}
 	}
-	ne := int(d.u16())
-	// Each EPC costs at least 2 bytes (an empty string's length prefix).
-	if d.err != nil || ne > d.remaining()/2+1 {
-		d.err = io.ErrUnexpectedEOF
-		return session.SubscribeOptions{}
-	}
-	if ne > 0 {
+	// Each EPC costs at least its 2-byte length prefix.
+	if ne := d.Count(int(d.U16()), 2); ne > 0 {
 		o.EPCs = make([]string, 0, ne)
-		for i := 0; i < ne && d.err == nil; i++ {
-			o.EPCs = append(o.EPCs, d.str())
+		for i := 0; i < ne && d.Err() == nil; i++ {
+			o.EPCs = append(o.EPCs, d.Str())
 		}
 	}
-	if d.err != nil {
+	if d.Err() != nil {
 		return session.SubscribeOptions{}
 	}
 	return o
@@ -709,97 +513,77 @@ func decodeSubscribeOptions(d *dec) session.SubscribeOptions {
 // sum f64, and a sparse bucket list (u16 count of non-empty buckets,
 // each a u8 index + u64 count). Sparse buckets keep an idle shard's
 // snapshot tiny while round-tripping the full distribution.
-func encodeTelemetry(e *enc, s telemetry.Snapshot) error {
-	e.u32(uint32(len(s.Counters)))
+func encodeTelemetry(e *codec.Encoder, s telemetry.Snapshot) {
+	e.U32(uint32(len(s.Counters)))
 	for name, v := range s.Counters {
-		if err := e.str(name); err != nil {
-			return err
-		}
-		e.i64(v)
+		e.Str(name)
+		e.I64(v)
 	}
-	e.u32(uint32(len(s.Gauges)))
+	e.U32(uint32(len(s.Gauges)))
 	for name, v := range s.Gauges {
-		if err := e.str(name); err != nil {
-			return err
-		}
-		e.f64(v)
+		e.Str(name)
+		e.F64(v)
 	}
-	e.u32(uint32(len(s.Histograms)))
+	e.U32(uint32(len(s.Histograms)))
 	for name, h := range s.Histograms {
-		if err := e.str(name); err != nil {
-			return err
-		}
-		e.u64(uint64(h.Count))
-		e.f64(h.Sum)
+		e.Str(name)
+		e.I64(h.Count)
+		e.F64(h.Sum)
 		nonzero := uint16(0)
 		for _, c := range h.Buckets {
 			if c != 0 {
 				nonzero++
 			}
 		}
-		e.u16(nonzero)
+		e.U16(nonzero)
 		for i, c := range h.Buckets {
 			if c != 0 {
-				e.u8(byte(i))
-				e.u64(uint64(c))
+				e.U8(byte(i))
+				e.I64(c)
 			}
 		}
 	}
-	return nil
 }
 
-func decodeTelemetry(d *dec) telemetry.Snapshot {
+func decodeTelemetry(d *codec.Decoder) telemetry.Snapshot {
 	s := telemetry.Snapshot{
 		Counters:   map[string]int64{},
 		Gauges:     map[string]float64{},
 		Histograms: map[string]telemetry.HistogramSnapshot{},
 	}
-	nc := int(d.u32())
-	// Each counter costs at least 10 bytes (empty name + i64).
-	if d.err != nil || nc > d.remaining()/10+1 {
-		d.err = io.ErrUnexpectedEOF
-		return telemetry.Snapshot{}
+	// A counter or gauge costs at least 10 bytes (empty name + value).
+	nc := d.Count(int(d.U32()), 10)
+	for i := 0; i < nc && d.Err() == nil; i++ {
+		name := d.Str()
+		s.Counters[name] = d.I64()
 	}
-	for i := 0; i < nc && d.err == nil; i++ {
-		name := d.str()
-		s.Counters[name] = d.i64()
+	ng := d.Count(int(d.U32()), 10)
+	for i := 0; i < ng && d.Err() == nil; i++ {
+		name := d.Str()
+		s.Gauges[name] = d.F64()
 	}
-	ng := int(d.u32())
-	if d.err != nil || ng > d.remaining()/10+1 {
-		d.err = io.ErrUnexpectedEOF
-		return telemetry.Snapshot{}
-	}
-	for i := 0; i < ng && d.err == nil; i++ {
-		name := d.str()
-		s.Gauges[name] = d.f64()
-	}
-	nh := int(d.u32())
-	// Each histogram costs at least 20 bytes (empty name + count + sum
-	// + bucket count).
-	if d.err != nil || nh > d.remaining()/20+1 {
-		d.err = io.ErrUnexpectedEOF
-		return telemetry.Snapshot{}
-	}
-	for i := 0; i < nh && d.err == nil; i++ {
-		name := d.str()
+	// A histogram costs at least 20 bytes (empty name + count + sum +
+	// bucket count), a bucket 9.
+	nh := d.Count(int(d.U32()), 20)
+	for i := 0; i < nh && d.Err() == nil; i++ {
+		name := d.Str()
 		var h telemetry.HistogramSnapshot
-		h.Count = int64(d.u64())
-		h.Sum = d.f64()
-		nb := int(d.u16())
-		if d.err != nil || nb > len(h.Buckets) {
-			d.err = io.ErrUnexpectedEOF
-			return telemetry.Snapshot{}
+		h.Count = d.I64()
+		h.Sum = d.F64()
+		nb := d.Count(int(d.U16()), 9)
+		if nb > len(h.Buckets) {
+			d.Fail(fmt.Errorf("shardrpc: histogram %q has %d buckets", name, nb))
 		}
-		for j := 0; j < nb && d.err == nil; j++ {
-			idx := int(d.u8())
-			c := int64(d.u64())
+		for j := 0; j < nb && d.Err() == nil; j++ {
+			idx := int(d.U8())
+			c := d.I64()
 			if idx < len(h.Buckets) {
 				h.Buckets[idx] = c
 			}
 		}
 		s.Histograms[name] = h
 	}
-	if d.err != nil {
+	if d.Err() != nil {
 		return telemetry.Snapshot{}
 	}
 	return s
@@ -808,95 +592,71 @@ func decodeTelemetry(d *dec) telemetry.Snapshot {
 // Event wire form: kind byte, EPC, then the kind's documented fields.
 // Every kind the unified stream defines is encodable, so the remote
 // stream is payload-identical to a local subscription.
-func encodeEvent(e *enc, ev session.Event) error {
-	e.u8(byte(ev.Kind))
-	if err := e.str(ev.EPC); err != nil {
-		return err
-	}
+func encodeEvent(e *codec.Encoder, ev session.Event) {
+	e.U8(byte(ev.Kind))
+	e.Str(ev.EPC)
 	switch ev.Kind {
 	case session.EventWindowClose:
 		encodeWindow(e, ev.Window)
 	case session.EventPoint:
 		encodeWindow(e, ev.Window)
-		e.f64(ev.Live.X)
-		e.f64(ev.Live.Y)
+		e.F64(ev.Live.X)
+		e.F64(ev.Live.Y)
 	case session.EventCommit:
-		e.u32(uint32(ev.CommitStart))
-		e.u32(uint32(len(ev.Segment)))
-		for _, p := range ev.Segment {
-			e.f64(p.X)
-			e.f64(p.Y)
-		}
+		e.U32(uint32(ev.CommitStart))
+		encodePoints(e, ev.Segment)
 	case session.EventEvict:
-		if ev.Err != nil {
-			e.u8(statusErr)
-			e.u8(errCodeOf(ev.Err))
-			return e.str(ev.Err.Error())
+		encodeStatus(e, ev.Err)
+		if ev.Err == nil {
+			encodeResult(e, ev.Result)
 		}
-		e.u8(statusOK)
-		encodeResult(e, ev.Result)
 	case session.EventBackendHealth:
-		if err := e.str(ev.Backend); err != nil {
-			return err
-		}
-		e.boolean(ev.Healthy)
+		e.Str(ev.Backend)
+		e.Bool(ev.Healthy)
 	case session.EventCheckpoint:
-		e.u64(ev.Covered)
-		e.bytes(ev.State)
+		e.U64(ev.Covered)
+		e.Blob(ev.State)
 	case session.EventMembership:
-		return encodeMembership(e, session.Membership{Epoch: ev.Epoch, Members: ev.Members})
+		encodeMembership(e, session.Membership{Epoch: ev.Epoch, Members: ev.Members})
 	default:
-		return fmt.Errorf("shardrpc: unencodable event kind %v", ev.Kind)
+		e.Fail(fmt.Errorf("shardrpc: unencodable event kind %v", ev.Kind))
 	}
-	return nil
 }
 
-func decodeEvent(d *dec) session.Event {
+func decodeEvent(d *codec.Decoder) session.Event {
 	ev := session.Event{
-		Kind: session.EventKind(d.u8()),
-		EPC:  d.str(),
+		Kind: session.EventKind(d.U8()),
+		EPC:  d.Str(),
 	}
 	switch ev.Kind {
 	case session.EventWindowClose:
 		ev.Window = decodeWindow(d)
 	case session.EventPoint:
 		ev.Window = decodeWindow(d)
-		ev.Live.X = d.f64()
-		ev.Live.Y = d.f64()
+		ev.Live.X = d.F64()
+		ev.Live.Y = d.F64()
 	case session.EventCommit:
-		ev.CommitStart = int(d.u32())
-		n := int(d.u32())
-		if d.err != nil || n > d.remaining()/16+1 {
-			d.err = io.ErrUnexpectedEOF
-			return session.Event{}
-		}
-		ev.Segment = make(geom.Polyline, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			ev.Segment = append(ev.Segment, geom.Vec2{X: d.f64(), Y: d.f64()})
-		}
+		ev.CommitStart = int(d.U32())
+		ev.Segment = decodePoints(d)
 	case session.EventEvict:
-		if d.u8() == statusErr {
-			code := d.u8()
-			msg := d.str()
-			if d.err == nil {
-				ev.Err = errFromCode(code, msg)
-			}
+		if d.U8() == statusErr {
+			ev.Err = decodeError(d)
 		} else {
 			ev.Result = decodeResult(d)
 		}
 	case session.EventBackendHealth:
-		ev.Backend = d.str()
-		ev.Healthy = d.boolean()
+		ev.Backend = d.Str()
+		ev.Healthy = d.Bool()
 	case session.EventCheckpoint:
-		ev.Covered = d.u64()
-		ev.State = d.bytes()
+		ev.Covered = d.U64()
+		ev.State = d.Blob()
 	case session.EventMembership:
 		m := decodeMembership(d)
 		ev.Epoch, ev.Members = m.Epoch, m.Members
 	default:
-		d.err = fmt.Errorf("shardrpc: unknown event kind %d", ev.Kind)
+		d.Fail(fmt.Errorf("shardrpc: unknown event kind %d", ev.Kind))
 	}
-	if d.err != nil {
+	if d.Err() != nil {
 		return session.Event{}
 	}
 	return ev

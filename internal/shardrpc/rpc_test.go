@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"polardraw/internal/codec"
 	"polardraw/internal/core"
 	"polardraw/internal/font"
 	"polardraw/internal/geom"
@@ -406,17 +407,19 @@ func TestClientConcurrentDispatch(t *testing.T) {
 
 // TestProtoRoundTrip checks the codec over awkward values.
 func TestProtoRoundTrip(t *testing.T) {
-	smp := reader.Sample{T: -1.5, Antenna: -1, RSS: -62.25, Phase: 3.14159, EPC: "E280-1160"}
-	var e enc
-	if err := encodeSamples(&e, []reader.Sample{smp, {}}); err != nil {
-		t.Fatal(err)
-	}
-	d := dec{b: e.b}
+	smp := reader.Sample{T: -1.5, Antenna: 7, RSS: -62.25, Phase: 3.14159, EPC: "E280-1160"}
+	// Antennas outside the layout's byte (negative, or past 254) cross
+	// as 255, which the two-antenna tracker skips like the original.
+	offByte := reader.Sample{T: 2, Antenna: -1, EPC: "E280-1161"}
+	var e codec.Encoder
+	encodeSamples(&e, []reader.Sample{smp, {}, offByte})
+	d := codec.NewDecoder(e.Bytes())
 	got := decodeSamples(&d)
-	if d.err != nil || d.remaining() != 0 {
-		t.Fatalf("decode: err=%v remaining=%d", d.err, d.remaining())
+	if d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("decode: err=%v remaining=%d", d.Err(), d.Remaining())
 	}
-	if !reflect.DeepEqual(got, []reader.Sample{smp, {}}) {
+	offByte.Antenna = 255
+	if !reflect.DeepEqual(got, []reader.Sample{smp, {}, offByte}) {
 		t.Fatalf("samples round-trip: %+v", got)
 	}
 
@@ -431,22 +434,22 @@ func TestProtoRoundTrip(t *testing.T) {
 		TranslationalWindows: 9,
 		SpuriousRejected:     2,
 	}
-	e = enc{}
+	e = codec.Encoder{}
 	encodeResult(&e, res)
-	d = dec{b: e.b}
+	d = codec.NewDecoder(e.Bytes())
 	gotRes := decodeResult(&d)
-	if d.err != nil || d.remaining() != 0 {
-		t.Fatalf("result decode: err=%v remaining=%d", d.err, d.remaining())
+	if d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("result decode: err=%v remaining=%d", d.Err(), d.Remaining())
 	}
 	if !reflect.DeepEqual(gotRes, res) {
 		t.Fatalf("result round-trip:\ngot  %+v\nwant %+v", gotRes, res)
 	}
 
 	// Truncations must error, never panic or fabricate data.
-	for cut := 0; cut < len(e.b); cut++ {
-		d := dec{b: e.b[:cut]}
+	for cut := 0; cut < len(e.Bytes()); cut++ {
+		d := codec.NewDecoder(e.Bytes()[:cut])
 		decodeResult(&d)
-		if d.err == nil && cut < len(e.b) {
+		if d.Err() == nil && cut < len(e.Bytes()) {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
 	}
@@ -485,7 +488,7 @@ func TestServerSurvivesGarbage(t *testing.T) {
 	if err != nil || op != opResp {
 		t.Fatalf("garbage first frame: op=0x%02x err=%v, want an opResp error", op, err)
 	}
-	d := dec{b: payload}
+	d := codec.NewDecoder(payload)
 	if err := checkStatus(&d); !errors.Is(err, ErrVersionMismatch) {
 		t.Fatalf("garbage first frame error = %v, want ErrVersionMismatch", err)
 	}

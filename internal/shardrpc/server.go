@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"polardraw/internal/codec"
 	"polardraw/internal/session"
 	"polardraw/internal/telemetry"
 )
@@ -336,11 +337,11 @@ func (sc *srvConn) subscribe(opts session.SubscribeOptions) {
 	sc.subKinds = opts.Kinds
 	go func() {
 		for ev := range ch {
-			var e enc
-			if encodeEvent(&e, ev) != nil {
+			var e codec.Encoder
+			if encodeEvent(&e, ev); e.Err() != nil {
 				continue
 			}
-			if sc.write(opEvent, e.b) != nil {
+			if sc.write(opEvent, e.Bytes()) != nil {
 				return // conn broken; read loop notices too
 			}
 		}
@@ -357,11 +358,11 @@ func (sc *srvConn) pushMembership(ev session.Event) {
 	if !subscribed || !sc.subWantsKind(session.EventMembership) {
 		return
 	}
-	var e enc
-	if encodeEvent(&e, ev) != nil {
+	var e codec.Encoder
+	if encodeEvent(&e, ev); e.Err() != nil {
 		return
 	}
-	_ = sc.write(opEvent, e.b)
+	_ = sc.write(opEvent, e.Bytes())
 }
 
 // unsubscribe releases the event subscription, which also closes the
@@ -391,9 +392,19 @@ func (sc *srvConn) write(op byte, payload []byte) error {
 
 // respondErr sends a statusErr response.
 func (sc *srvConn) respondErr(err error) error {
-	var e enc
-	encodeError(&e, err)
-	return sc.write(opResp, e.b)
+	var e codec.Encoder
+	encodeStatus(&e, err)
+	return sc.write(opResp, e.Bytes())
+}
+
+// respond sends the response payload e holds, or an error response in
+// its place when it failed to encode, so every request still gets
+// exactly one reply.
+func (sc *srvConn) respond(e *codec.Encoder) error {
+	if err := e.Err(); err != nil {
+		return sc.respondErr(err)
+	}
+	return sc.write(opResp, e.Bytes())
 }
 
 // handshake enforces the version exchange on a connection's first
@@ -401,7 +412,7 @@ func (sc *srvConn) respondErr(err error) error {
 // mismatch — not a hello, another version, or an unparseable hello —
 // it answers with the explicit version error (so the peer can surface
 // it) and the caller drops the connection.
-func (sc *srvConn) handshake(op byte, d *dec) bool {
+func (sc *srvConn) handshake(op byte, d *codec.Decoder) bool {
 	refuse := func(reason string) bool {
 		_ = sc.respondErr(fmt.Errorf("%w: %s; server speaks v%d", ErrVersionMismatch, reason, protoVersion))
 		return false
@@ -409,28 +420,24 @@ func (sc *srvConn) handshake(op byte, d *dec) bool {
 	if op != opHello {
 		return refuse(fmt.Sprintf("expected version handshake, got opcode 0x%02x", op))
 	}
-	v := d.u8()
-	if d.err != nil {
+	if d.Remaining() == 0 {
 		return refuse("empty hello")
 	}
+	v, clientID, defaults := decodeHello(d)
 	if v != protoVersion {
 		return refuse(fmt.Sprintf("client speaks v%d", v))
 	}
-	clientID := d.str()
-	sc.defaults = decodeOpenOptions(d)
-	if d.err != nil {
+	if d.Err() != nil {
 		return refuse("client hello does not parse")
 	}
+	sc.defaults = defaults
 	if clientID == "" {
 		// Defensive: an identity-less peer still dedups within its own
 		// connection, just not across reconnects.
 		clientID = fmt.Sprintf("conn:%p", sc)
 	}
 	sc.seq = sc.s.seqFor(clientID)
-	var e enc
-	e.u8(statusOK)
-	e.u8(protoVersion)
-	return sc.write(opResp, e.b) == nil
+	return sc.write(opResp, []byte{statusOK, protoVersion}) == nil
 }
 
 // readLoop processes request frames sequentially until the connection
@@ -445,7 +452,7 @@ func (sc *srvConn) readLoop() {
 			return
 		}
 		sc.s.tel.frameRx.Observe(float64(5 + len(payload)))
-		d := dec{b: payload}
+		d := codec.NewDecoder(payload)
 		if !hello {
 			if !sc.handshake(op, &d) {
 				return
@@ -455,9 +462,9 @@ func (sc *srvConn) readLoop() {
 		}
 		switch op {
 		case opDispatchSeq:
-			firstSeq := d.u64()
+			firstSeq := d.U64()
 			batch := decodeSamples(&d)
-			if d.err != nil {
+			if d.Err() != nil {
 				return
 			}
 			sc.s.tel.batch.Observe(float64(len(batch)))
@@ -475,19 +482,19 @@ func (sc *srvConn) readLoop() {
 			}
 			acked, rejected := cs.applied, cs.rejected
 			cs.mu.Unlock()
-			var e enc
-			e.u64(acked)
-			e.u64(rejected)
-			if sc.write(opAck, e.b) != nil {
+			var e codec.Encoder
+			e.U64(acked)
+			e.U64(rejected)
+			if sc.write(opAck, e.Bytes()) != nil {
 				return
 			}
 
 		case opSubscribe:
 			var opts session.SubscribeOptions
-			if d.remaining() > 0 {
+			if d.Remaining() > 0 {
 				// An empty payload means unfiltered.
 				opts = decodeSubscribeOptions(&d)
-				if d.err != nil {
+				if d.Err() != nil {
 					return
 				}
 			}
@@ -511,17 +518,17 @@ func (sc *srvConn) readLoop() {
 					if epcAllow != nil && !epcAllow[epc] {
 						continue
 					}
-					var e enc
+					var e codec.Encoder
 					ev := session.Event{
 						Kind:        session.EventCommit,
 						EPC:         epc,
 						CommitStart: 0,
 						Segment:     prefix,
 					}
-					if encodeEvent(&e, ev) != nil {
+					if encodeEvent(&e, ev); e.Err() != nil {
 						continue
 					}
-					if sc.write(opEvent, e.b) != nil {
+					if sc.write(opEvent, e.Bytes()) != nil {
 						return
 					}
 				}
@@ -538,166 +545,122 @@ func (sc *srvConn) readLoop() {
 
 		case opMembership:
 			mship := decodeMembership(&d)
-			if d.err != nil {
+			if d.Err() != nil {
 				return
 			}
-			var e enc
-			if err := sc.s.SetMembership(mship); err != nil {
-				encodeError(&e, err)
-			} else {
-				e.u8(statusOK)
-			}
-			if sc.write(opResp, e.b) != nil {
+			var e codec.Encoder
+			encodeStatus(&e, sc.s.SetMembership(mship))
+			if sc.respond(&e) != nil {
 				return
 			}
 
 		case opPing:
-			var e enc
-			e.u8(statusOK)
-			if sc.write(opResp, e.b) != nil {
+			if sc.write(opResp, []byte{statusOK}) != nil {
 				return
 			}
 
 		case opOpen:
-			epc := d.str()
-			opts := decodeOpenOptions(&d)
-			if d.err != nil {
+			epc := d.Str()
+			opts := session.DecodeOpenOptions(&d)
+			if d.Err() != nil {
 				return
 			}
-			var e enc
-			if err := m.Open(epc, opts); err != nil {
-				encodeError(&e, err)
-			} else {
-				e.u8(statusOK)
-			}
-			if sc.write(opResp, e.b) != nil {
+			var e codec.Encoder
+			encodeStatus(&e, m.Open(epc, opts))
+			if sc.respond(&e) != nil {
 				return
 			}
 
 		case opFinalize:
-			epc := d.str()
-			if d.err != nil {
+			epc := d.Str()
+			if d.Err() != nil {
 				return
 			}
 			res, err := m.Finalize(epc)
-			var e enc
-			if err != nil {
-				encodeError(&e, err)
-			} else {
-				e.u8(statusOK)
+			var e codec.Encoder
+			if encodeStatus(&e, err); err == nil {
 				encodeResult(&e, res)
 			}
-			if sc.write(opResp, e.b) != nil {
+			if sc.respond(&e) != nil {
 				return
 			}
 
 		case opExport:
-			epc := d.str()
-			if d.err != nil {
+			epc := d.Str()
+			if d.Err() != nil {
 				return
 			}
 			state, err := m.Export(epc)
-			var e enc
-			if err != nil {
-				encodeError(&e, err)
-			} else {
-				e.u8(statusOK)
-				e.bytes(state)
+			var e codec.Encoder
+			if encodeStatus(&e, err); err == nil {
+				e.Blob(state)
 			}
-			if sc.write(opResp, e.b) != nil {
+			if sc.respond(&e) != nil {
 				return
 			}
 
 		case opRestore:
-			epc := d.str()
-			state := d.bytes()
-			if d.err != nil {
+			epc := d.Str()
+			state := d.Blob()
+			if d.Err() != nil {
 				return
 			}
-			var e enc
-			if err := m.Restore(epc, state); err != nil {
-				encodeError(&e, err)
-			} else {
-				e.u8(statusOK)
-			}
-			if sc.write(opResp, e.b) != nil {
+			var e codec.Encoder
+			encodeStatus(&e, m.Restore(epc, state))
+			if sc.respond(&e) != nil {
 				return
 			}
 
 		case opStats:
 			st := m.Stats()
-			var e enc
-			e.u8(statusOK)
-			e.u32(uint32(len(st)))
-			bad := false
+			var e codec.Encoder
+			e.U8(statusOK)
+			e.U32(uint32(len(st)))
 			for _, s := range st {
-				if encodeStats(&e, s) != nil {
-					bad = true
-					break
-				}
+				encodeStats(&e, s)
 			}
-			if bad {
-				if sc.respondErr(ErrShardClosing) != nil {
-					return
-				}
-				continue
-			}
-			if sc.write(opResp, e.b) != nil {
+			if sc.respond(&e) != nil {
 				return
 			}
 
 		case opTelemetry:
-			var e enc
-			e.u8(statusOK)
-			if err := encodeTelemetry(&e, sc.s.cfg.Telemetry.Snapshot()); err != nil {
-				e = enc{}
-				encodeError(&e, err)
-			}
-			if sc.write(opResp, e.b) != nil {
+			var e codec.Encoder
+			e.U8(statusOK)
+			encodeTelemetry(&e, sc.s.cfg.Telemetry.Snapshot())
+			if sc.respond(&e) != nil {
 				return
 			}
 
 		case opEvictIdle:
-			maxIdle := time.Duration(d.i64())
-			if d.err != nil {
+			maxIdle := time.Duration(d.I64())
+			if d.Err() != nil {
 				return
 			}
-			n := m.EvictIdle(maxIdle)
-			var e enc
-			e.u8(statusOK)
-			e.u32(uint32(n))
-			if sc.write(opResp, e.b) != nil {
+			var e codec.Encoder
+			e.U8(statusOK)
+			e.U32(uint32(m.EvictIdle(maxIdle)))
+			if sc.respond(&e) != nil {
 				return
 			}
 
 		case opLen:
-			var e enc
-			e.u8(statusOK)
-			e.u32(uint32(m.Len()))
-			if sc.write(opResp, e.b) != nil {
+			var e codec.Encoder
+			e.U8(statusOK)
+			e.U32(uint32(m.Len()))
+			if sc.respond(&e) != nil {
 				return
 			}
 
 		case opClose:
 			results := m.Close()
-			var e enc
-			e.u8(statusOK)
-			e.u32(uint32(len(results)))
-			ok := true
+			var e codec.Encoder
+			e.U8(statusOK)
+			e.U32(uint32(len(results)))
 			for epc, res := range results {
-				if e.str(epc) != nil {
-					ok = false
-					break
-				}
+				e.Str(epc)
 				encodeResult(&e, res)
 			}
-			if !ok {
-				if sc.respondErr(ErrShardClosing) != nil {
-					return
-				}
-				continue
-			}
-			if sc.write(opResp, e.b) != nil {
+			if sc.respond(&e) != nil {
 				return
 			}
 

@@ -1,7 +1,7 @@
 // Package telemetry is the serving tier's dependency-free metrics
 // registry: lock-cheap counters, gauges, and log-bucketed histograms
 // threaded through every layer (decode, session, journal, router,
-// shardrpc) and exposed three ways — the protocol-v5 telemetry RPC,
+// shardrpc) and exposed three ways — the shardrpc telemetry RPC,
 // Prometheus text-format /metrics exposition, and the per-PR latency
 // artifact.
 //
