@@ -45,6 +45,13 @@ func (e *Encoder) Bytes() []byte { return e.b }
 // Err returns the first encoding error, if any.
 func (e *Encoder) Err() error { return e.err }
 
+// Fail latches err unless an error is already latched.
+func (e *Encoder) Fail(err error) {
+	if e.err == nil {
+		e.err = err
+	}
+}
+
 func (e *Encoder) U8(v uint8)    { e.b = append(e.b, v) }
 func (e *Encoder) U16(v uint16)  { e.b = binary.BigEndian.AppendUint16(e.b, v) }
 func (e *Encoder) U32(v uint32)  { e.b = binary.BigEndian.AppendUint32(e.b, v) }
@@ -72,13 +79,6 @@ func (e *Encoder) Str32(s string) {
 	if e.fits(s) {
 		e.U32(uint32(len(s)))
 		e.b = append(e.b, s...)
-	}
-}
-
-// Fail latches err unless an error is already latched.
-func (e *Encoder) Fail(err error) {
-	if e.err == nil {
-		e.err = err
 	}
 }
 
@@ -204,9 +204,9 @@ func (d *Decoder) Int32s(dst []int32, n int) []int32 {
 }
 
 // Count bounds n, an element count just read, by the unread input: n
-// elements of at least minSize bytes each must fit in it, or Count
-// latches io.ErrUnexpectedEOF and returns 0. A hostile count thus
-// cannot force an allocation larger than the input.
+// elements of at least minSize (> 0) bytes each must fit in it, or
+// Count latches io.ErrUnexpectedEOF and returns 0. A hostile count
+// thus cannot force an allocation larger than the input.
 func (d *Decoder) Count(n, minSize int) int {
 	if d.err != nil || n < 0 || n > len(d.b)/minSize {
 		d.Fail(io.ErrUnexpectedEOF)

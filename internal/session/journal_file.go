@@ -30,11 +30,12 @@ import (
 // snapshot as a u32-prefixed blob; a release record is the EPC alone.
 //
 // The file is fsynced on SaveCheckpoint and Close — between
-// checkpoints an OS crash may lose the tail, which the ack/retention semantics treat
-// exactly like samples past the last checkpoint: resent by the client
-// or replayed from the previous checkpoint. The file is append-only
-// and grows with traffic; Release trims the in-memory index, and the
-// file is truncated whenever every stroke it holds has been released.
+// checkpoints an OS crash may lose the tail, which the ack/retention
+// semantics treat exactly like samples past the last checkpoint: resent
+// by the client or replayed from the previous checkpoint. The file is
+// append-only and grows with traffic; Release trims the in-memory
+// index, and the file is truncated whenever every stroke it holds has
+// been released.
 type FileJournal struct {
 	mu   sync.Mutex
 	mem  *MemJournal
