@@ -15,13 +15,13 @@
 // internal/codec, the codec checkpoints and the file journal share:
 // scalars are big-endian; floats are IEEE-754 bit patterns (so a
 // trajectory survives the wire bit-identically); strings are uint16
-// length + bytes, except the EPC inside a dispatched sample; snapshots
-// are uint32 length + bytes. Dispatched samples use codec's Sample
+// length + bytes, except the EPC inside a dispatched sample (uint32
+// length, as in the journal); snapshots are uint32 length + bytes. Dispatched samples use codec's Sample
 // layout and OpenOptions use session's layout (EncodeOpenOptions), the
 // same bytes the file journal writes, so the two cannot drift.
 //
 // Every connection begins with a version handshake: the client's first
-// frame is opHello carrying the protocol version, a stable client
+// frame is opHello carrying the protocol version (6), a stable client
 // identity, and the client's default decode OpenOptions, answered by an
 // opResp echoing the version. There is exactly one dialect: a server
 // answers a hello naming any other version (or one it cannot parse, or
