@@ -326,6 +326,9 @@ type stepScratch struct {
 	// scratch.
 	sel  []float64
 	ties []int32
+	// hyp caches relaxBounded's first-phase hyperbola terms, aligned
+	// with touched.
+	hyp []float64
 	// stencil is the buildStencil reuse buffer (cache-off path).
 	stencil []stencilEntry
 	// Merge-walk marks (commitMerged), indexed by record position:
@@ -498,91 +501,124 @@ func (v *viterbiState) recordBound() int {
 	return min(max(v.kCur, v.cfg.BeamTopK), v.g.size())
 }
 
+// hyperbolaMax bounds every value hyperbolaAt returns from above: f <=
+// 1 there, so the term is at most log(1+1e-3), and log(1+x) < x leaves
+// room for rounding.
+const hyperbolaMax = 1e-3
+
+// relaxer applies one step's transition model (the stencil and the
+// optional radial displacement prior) out of one source at a time.
+type relaxer struct {
+	g         *grid
+	cur       []float64
+	arg       []int32
+	stencil   []stencilEntry
+	r         int
+	ev        stepEvidence
+	useRadial bool
+}
+
+// relax applies every transition out of active cell from (position j,
+// score base) to cur and arg, appending the cells it writes first to
+// touched. A tie goes to the lower active index, so sources may be
+// relaxed in any order and still give the argmax of an ascending scan.
+func (rx *relaxer) relax(j, from int, base float64, touched []int32) []int32 {
+	g, cur, arg, ev := rx.g, rx.cur, rx.arg, rx.ev
+	negInf := math.Inf(-1)
+	jj := int32(j)
+	fx, fy := from%g.nx, from/g.nx
+	var dExp geom.Vec2
+	radialOK := false
+	if rx.useRadial {
+		if d, ok := g.radialDisplacement(from, ev.dl1, ev.dl2); ok {
+			// Noise can inflate the solve beyond physical
+			// bounds; cap at the annulus.
+			if n := d.Norm(); n > ev.dMax*1.5 {
+				d = d.Scale(ev.dMax * 1.5 / n)
+			}
+			dExp = d
+			radialOK = true
+		}
+	}
+	if r := rx.r; !radialOK && fx >= r && fx < g.nx-r && fy >= r && fy < g.ny-r {
+		// Interior fast path: every stencil offset stays on the
+		// board, so the bounds arithmetic drops out of the scan.
+		for _, st := range rx.stencil {
+			to := from + int(st.off)
+			score := base + st.score
+			if c := cur[to]; score > c || score == c && jj < arg[to] {
+				if c == negInf {
+					touched = append(touched, int32(to))
+				}
+				cur[to] = score
+				arg[to] = jj
+			}
+		}
+		return touched
+	}
+	// Radial displacement prior spread: per-antenna path-length
+	// noise amplified by the solve's conditioning, in metres.
+	const radialSigma = 0.005
+	invVar := 1 / (2 * radialSigma * radialSigma)
+	for _, st := range rx.stencil {
+		x, y := fx+int(st.dx), fy+int(st.dy)
+		if x < 0 || x >= g.nx || y < 0 || y >= g.ny {
+			continue
+		}
+		to := y*g.nx + x
+		score := base + st.score
+		if radialOK {
+			ddx := float64(st.dx)*g.cell - dExp.X
+			ddy := float64(st.dy)*g.cell - dExp.Y
+			score -= (ddx*ddx + ddy*ddy) * invVar
+		}
+		if c := cur[to]; score > c || score == c && jj < arg[to] {
+			if c == negInf {
+				touched = append(touched, int32(to))
+			}
+			cur[to] = score
+			arg[to] = jj
+		}
+	}
+	return touched
+}
+
 // step advances the forward pass by one evidence transition.
 func (v *viterbiState) step(ev stepEvidence) {
 	g, cfg := v.g, v.cfg
 	sc := g.scratch()
 	cur, arg := sc.cur, sc.arg
 	negInf := math.Inf(-1)
-	touched := sc.touched[:0]
-	var stencil []stencilEntry
+	rx := relaxer{g: g, cur: cur, arg: arg, r: g.stencilRadius(ev), ev: ev,
+		useRadial: ev.haveDL && cfg.UseRadialSolve}
 	if cfg.DisableStencilCache {
 		sc.stencil = g.buildStencil(ev, sc.stencil[:0])
-		stencil = sc.stencil
+		rx.stencil = sc.stencil
 	} else if st, hit := g.stencilFor(ev); hit {
 		v.stencilHits++
-		stencil = st
+		rx.stencil = st
 	} else {
 		v.stencilMisses++
-		stencil = st
+		rx.stencil = st
 	}
-	r := g.stencilRadius(ev)
 	hypOn := !cfg.DisableHyperbola && !math.IsNaN(ev.dphi)
-	useRadial := ev.haveDL && cfg.UseRadialSolve
-	// Radial displacement prior spread: per-antenna path-length
-	// noise amplified by the solve's conditioning, in metres.
-	const radialSigma = 0.005
-	invVar := 1 / (2 * radialSigma * radialSigma)
-	for j, from := range v.active {
-		base := v.score[j]
-		fx, fy := from%g.nx, from/g.nx
-		var dExp geom.Vec2
-		radialOK := false
-		if useRadial {
-			if d, ok := g.radialDisplacement(from, ev.dl1, ev.dl2); ok {
-				// Noise can inflate the solve beyond physical
-				// bounds; cap at the annulus.
-				if n := d.Norm(); n > ev.dMax*1.5 {
-					d = d.Scale(ev.dMax * 1.5 / n)
-				}
-				dExp = d
-				radialOK = true
-			}
+	var touched []int32
+	if k := v.countBoundMax(); k > 0 && len(v.active) > k {
+		touched = v.relaxBounded(sc, &rx, k, hypOn)
+	} else {
+		touched = sc.touched[:0]
+		for j, from := range v.active {
+			touched = rx.relax(j, from, v.score[j], touched)
 		}
-		if !radialOK && fx >= r && fx < g.nx-r && fy >= r && fy < g.ny-r {
-			// Interior fast path: every stencil offset stays on the
-			// board, so the bounds arithmetic drops out of the scan.
-			for _, st := range stencil {
-				to := from + int(st.off)
-				score := base + st.score
-				if c := cur[to]; score > c {
-					if c == negInf {
-						touched = append(touched, int32(to))
-					}
-					cur[to] = score
-					arg[to] = int32(j)
-				}
+		// The Eq. 11 hyperbola term depends only on the destination
+		// cell, so it cannot change which predecessor wins: apply it
+		// after the argmax, once per written cell, instead of once per
+		// transition (or, as the dense reference does, once per grid
+		// cell).
+		if hypOn {
+			for _, i := range touched {
+				cur[i] += g.hyperbolaAt(int(i), ev.dphi)
 			}
-			continue
-		}
-		for _, st := range stencil {
-			x, y := fx+int(st.dx), fy+int(st.dy)
-			if x < 0 || x >= g.nx || y < 0 || y >= g.ny {
-				continue
-			}
-			to := y*g.nx + x
-			score := base + st.score
-			if radialOK {
-				ddx := float64(st.dx)*g.cell - dExp.X
-				ddy := float64(st.dy)*g.cell - dExp.Y
-				score -= (ddx*ddx + ddy*ddy) * invVar
-			}
-			if c := cur[to]; score > c {
-				if c == negInf {
-					touched = append(touched, int32(to))
-				}
-				cur[to] = score
-				arg[to] = int32(j)
-			}
-		}
-	}
-	// The Eq. 11 hyperbola term depends only on the destination cell,
-	// so it cannot change which predecessor wins: apply it after the
-	// argmax, once per written cell, instead of once per transition
-	// (or, as the dense reference does, once per grid cell).
-	if hypOn {
-		for _, i := range touched {
-			cur[i] += g.hyperbolaAt(int(i), ev.dphi)
 		}
 	}
 	maxCur := negInf
@@ -690,6 +726,115 @@ func (v *viterbiState) step(ev stepEvidence) {
 	}
 }
 
+// relaxBounded is the transition scan for a beam wider than k, the
+// largest count bound this step can apply (the prior's support at a
+// stroke start). It is an exact Viterbi step that skips the sources a
+// bound proves cannot reach a surviving cell, in the manner of Lazy
+// Viterbi (Feldman, Abou-Faycal and Frigo, 2002). It returns the
+// touched cells that can survive the prune, with final scores (the
+// hyperbola term included) and exact predecessors; every other cell it
+// wrote is back at -Inf.
+//
+// Phase 1 relaxes the k best sources and scores the cells they reach.
+// Those scores are lower bounds on the final ones, so no cell below
+// thr = max(k-th best, best - beamWidth) can survive: it is outside
+// the window or below the k-th survivor. Under BeamAdaptive thr is also
+// capped at best - adaptMargin, so the controller's count of close
+// contenders stays exact. Phase 2 relaxes every other source whose best
+// transition plus the largest hyperbola term reaches thr. A cell
+// scoring at least thr is reached by its best predecessors, ties
+// included, only through such sources, so its score and lowest-index
+// predecessor are those of the full scan.
+func (v *viterbiState) relaxBounded(sc *stepScratch, rx *relaxer, k int, hypOn bool) []int32 {
+	g, cur, dphi := v.g, sc.cur, rx.ev.dphi
+	negInf := math.Inf(-1)
+	sel := append(sc.sel[:0], v.score...)
+	kth := kthLargest(sel, k)
+	touched := sc.touched[:0]
+	for j, s := range v.score {
+		if s >= kth {
+			touched = rx.relax(j, v.active[j], s, touched)
+		}
+	}
+	n1 := len(touched)
+	hyp, sel := sc.hyp[:0], sel[:0]
+	best := negInf
+	for _, i := range touched {
+		h := 0.0
+		if hypOn {
+			h = g.hyperbolaAt(int(i), dphi)
+		}
+		hyp = append(hyp, h)
+		s := cur[i] + h
+		sel = append(sel, s)
+		if s > best {
+			best = s
+		}
+	}
+	thr := negInf
+	if n1 > 0 {
+		thr = best - beamWidth
+		if len(sel) >= k {
+			thr = max(thr, kthLargest(sel, k))
+		}
+		if v.cfg.BeamAdaptive {
+			thr = min(thr, best-adaptMargin)
+		}
+	}
+	stMax, hMax := negInf, 0.0
+	for _, st := range rx.stencil {
+		stMax = max(stMax, st.score)
+	}
+	if hypOn {
+		hMax = hyperbolaMax
+	}
+	for j, s := range v.score {
+		if s < kth && s+stMax+hMax >= thr {
+			touched = rx.relax(j, v.active[j], s, touched)
+		}
+	}
+	// Final scores. A cell first reached in phase 2 whose best case
+	// stays below thr is dropped without its hyperbola term.
+	live := touched[:0]
+	for x, i := range touched {
+		s := cur[i]
+		switch {
+		case !hypOn:
+		case x < n1:
+			s += hyp[x]
+		case s+hMax < thr:
+			s = negInf
+		default:
+			s += g.hyperbolaAt(int(i), dphi)
+		}
+		if s < thr {
+			cur[i] = negInf
+			continue
+		}
+		cur[i] = s
+		live = append(live, i)
+	}
+	sc.sel, sc.hyp = sel, hyp
+	return live
+}
+
+// countBoundMax is the largest count bound this step's prune can apply:
+// BeamTopK, or under BeamAdaptive the largest K adaptK can return from
+// the controller's current state (0 for a window-only beam).
+func (v *viterbiState) countBoundMax() int {
+	base := v.cfg.BeamTopK
+	if base <= 0 || !v.cfg.BeamAdaptive {
+		return max(base, 0)
+	}
+	k := v.kCur
+	if k == 0 {
+		k = base
+	}
+	// Growing from k, or shrinking toward a floor above k, bounds every
+	// move, staying put included.
+	return max(adaptStep(base, k, math.MaxInt), adaptStep(base, k, 0))
+}
+
 // adaptMargin is the adaptive controller's confidence window, nats:
 // states scoring within this margin of the per-step maximum count as
 // contenders for the decode.
@@ -736,25 +881,24 @@ func (v *viterbiState) topKSelect(sc *stepScratch, touched []int32, maxCur float
 // floored at 16 states. The controller state lives in the decoder, so
 // batch and streamed decodes evolve identically.
 func (v *viterbiState) adaptK(nClose int) int {
-	base := v.cfg.BeamTopK
 	if v.kCur == 0 {
-		v.kCur = base
+		v.kCur = v.cfg.BeamTopK
 	}
-	kMin, kMax := base/4, base*4
-	if kMin < 16 {
-		kMin = 16
-	}
-	switch {
-	case nClose >= v.kCur:
-		if v.kCur = v.kCur * 2; v.kCur > kMax {
-			v.kCur = kMax
-		}
-	case nClose < v.kCur/4:
-		if v.kCur = v.kCur / 2; v.kCur < kMin {
-			v.kCur = kMin
-		}
-	}
+	v.kCur = adaptStep(v.cfg.BeamTopK, v.kCur, nClose)
 	return v.kCur
+}
+
+// adaptStep is one move of the adaptive controller: the bound that
+// follows bound k when nClose states are contenders.
+func adaptStep(base, k, nClose int) int {
+	kMin, kMax := max(base/4, 16), base*4
+	switch {
+	case nClose >= k:
+		return min(2*k, kMax)
+	case nClose < k/4:
+		return max(k/2, kMin)
+	}
+	return k
 }
 
 // kthLargest returns the k-th largest value of s (1 <= k <= len(s)),
@@ -821,8 +965,11 @@ type DecodeStats struct {
 	// current K, or BeamTopK when the controller is off (0 when the
 	// beam is window-only).
 	BeamK int
-	// TopKPruned counts states that survived the log-window prune but
-	// were cut by the count bound.
+	// TopKPruned counts the scored states that survived the log-window
+	// prune but were cut by the count bound. A step from a beam wider
+	// than the bound (a stroke start) never scores the states its bound
+	// proves cannot survive, so they are not counted: the figure is at
+	// most what a scan of every transition would count.
 	TopKPruned uint64
 	// MergeCommits and ForcedCommits count fixed-lag commit events by
 	// kind: merged commits are lossless (every surviving path agreed

@@ -402,8 +402,23 @@ func TestTopKSelectionMatchesSortedReference(t *testing.T) {
 				t.Fatalf("%c k=%d: cell %d score %v, want %v", tc.letter, tc.k, i, vkd[i], s)
 			}
 		}
-		if st := vk.decodeStats(); st.TopKPruned != uint64(len(cands)-n) {
-			t.Fatalf("%c k=%d: TopKPruned %d, want %d", tc.letter, tc.k, st.TopKPruned, len(cands)-n)
+		// The first step starts from the prior's whole support, wider
+		// than K, so the bound-pruned step never scores some of the
+		// states the reference counts.
+		pruned := vk.decodeStats().TopKPruned
+		if pruned > uint64(len(cands)-n) {
+			t.Fatalf("%c k=%d: TopKPruned %d, want at most %d", tc.letter, tc.k, pruned, len(cands)-n)
+		}
+
+		// A step from a beam no wider than K scores every state, so it
+		// counts exactly the window survivors beyond K: the reference is
+		// a window-only decoder stepping from the same beam.
+		vw2 := g.seedViterbi(cfg, vk.denseView())
+		vw2.step(evs[1])
+		vk.step(evs[1])
+		want2 := uint64(max(len(vw2.active)-tc.k, 0))
+		if got := vk.decodeStats().TopKPruned - pruned; got != want2 {
+			t.Fatalf("%c k=%d: second step TopKPruned %d, want %d", tc.letter, tc.k, got, want2)
 		}
 	}
 }
