@@ -13,7 +13,12 @@ func WrapAngle(theta float64) float64 {
 
 // WrapPi reduces theta to the interval (-pi, pi].
 func WrapPi(theta float64) float64 {
-	t := math.Mod(theta, 2*math.Pi)
+	// math.Mod returns theta itself when |theta| < 2*pi, the common case
+	// (the difference of two wrapped phases), so skip the call there.
+	t := theta
+	if !(-2*math.Pi < t && t < 2*math.Pi) {
+		t = math.Mod(theta, 2*math.Pi)
+	}
 	switch {
 	case t <= -math.Pi:
 		t += 2 * math.Pi

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -31,6 +32,42 @@ func TestWrapPiRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// wrapPiMod is WrapPi in its plain form, math.Mod on every input: the
+// reference WrapPi's fast path must match bit for bit.
+func wrapPiMod(theta float64) float64 {
+	t := math.Mod(theta, 2*math.Pi)
+	switch {
+	case t <= -math.Pi:
+		t += 2 * math.Pi
+	case t > math.Pi:
+		t -= 2 * math.Pi
+	}
+	return t
+}
+
+func TestWrapPiMatchesModForm(t *testing.T) {
+	inputs := []float64{
+		0, math.Copysign(0, -1), math.Pi, -math.Pi, 2 * math.Pi, -2 * math.Pi,
+		math.Nextafter(math.Pi, 0), math.Nextafter(math.Pi, 4),
+		math.Nextafter(-math.Pi, 0), math.Nextafter(-math.Pi, -4),
+		math.Nextafter(2*math.Pi, 0), math.Nextafter(2*math.Pi, 7),
+		math.Nextafter(-2*math.Pi, 0), math.Nextafter(-2*math.Pi, -7),
+		3 * math.Pi, -3 * math.Pi, 1e300, -1e300, 5e-324, -5e-324,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 100000; i++ {
+		inputs = append(inputs, (rng.Float64()*2-1)*8*math.Pi, rng.NormFloat64()*1e6)
+	}
+	for _, x := range inputs {
+		got, want := WrapPi(x), wrapPiMod(x)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("WrapPi(%v) = %v (%#x), math.Mod form %v (%#x)",
+				x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }
 
