@@ -169,3 +169,44 @@ func TestBudgetRestoreBytes(t *testing.T) {
 		t.Fatalf("restoring a %d B snapshot allocates %d B, budget %d B", len(snap), per, budget)
 	}
 }
+
+// TestBudgetStrokeStartBytes pins what the window close that seeds a
+// stroke's decoder allocates. The grid-sized prior vector is borrowed
+// from the grid's pool, so what remains is the prior's support, which
+// seedViterbi keeps as the time-0 beam (active cells, scores and the
+// time-0 record: 20 B per cell).
+func TestBudgetStrokeStartBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("memory budgets are pinned without the race detector")
+	}
+	samples, ants := synthSamples(t, 'R', 3)
+	tr := New(servingConfig(ants))
+	seed := func() (bytes uint64, support int) {
+		st := tr.Stream()
+		var m0, m1 runtime.MemStats
+		for _, s := range samples {
+			runtime.ReadMemStats(&m0)
+			if err := st.Push(s); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			if st.Windows() > 0 {
+				return m1.TotalAlloc - m0.TotalAlloc, len(st.vit.active)
+			}
+		}
+		t.Fatal("no window closed")
+		return 0, 0
+	}
+	// The first stroke start fills the pool.
+	seed()
+	bytes, support := seed()
+	// Measured 205,576 B for 9,429 cells: 20 B per cell, rounded up to
+	// the allocator's size classes (10% here), plus the window. A
+	// stroke start that allocates its own 75 KB prior vector (287,472
+	// B) fails this.
+	budget := uint64(22*support + 4<<10)
+	t.Logf("stroke start allocates %d B for a %d-cell support (budget %d)", bytes, support, budget)
+	if bytes > budget {
+		t.Fatalf("a stroke start allocates %d B, budget %d B", bytes, budget)
+	}
+}

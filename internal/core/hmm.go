@@ -33,6 +33,9 @@ type grid struct {
 	// scratchPool holds idle *stepScratch, the grid-sized working set
 	// each decode step borrows (see stepScratch).
 	scratchPool sync.Pool
+	// priorPool holds idle stroke-start prior vectors, *[]float64 (see
+	// initialDistribution).
+	priorPool sync.Pool
 }
 
 func newGrid(cfg Config) *grid {
@@ -1232,10 +1235,18 @@ func (g *grid) greedy(cfg Config, initLog []float64, evidence []stepEvidence) []
 // initialDistribution implements section 3.5's bootstrap: hyperbolic
 // positioning from the first window's inter-antenna phase difference.
 // Cells consistent with any candidate hyperbola get high prior; with a
-// spurious first window the prior is uniform.
+// spurious first window the prior is uniform. The vector is borrowed
+// from the grid's pool: the caller reads it (seedViterbi and the
+// decoders keep no reference) and hands it back with putPrior.
 func (g *grid) initialDistribution(cfg Config, dphi float64) []float64 {
-	out := make([]float64, g.size())
+	var out []float64
+	if p, ok := g.priorPool.Get().(*[]float64); ok {
+		out = *p
+	} else {
+		out = make([]float64, g.size())
+	}
 	if math.IsNaN(dphi) {
+		clear(out)
 		return out // uniform (all zeros in log space)
 	}
 	for i := range out {
@@ -1245,3 +1256,7 @@ func (g *grid) initialDistribution(cfg Config, dphi float64) []float64 {
 	}
 	return out
 }
+
+// putPrior returns a vector from initialDistribution to the grid's
+// pool; the caller must not read it afterwards.
+func (g *grid) putPrior(p []float64) { g.priorPool.Put(&p) }

@@ -195,6 +195,7 @@ func (s *StreamTracker) closeOpen() {
 		} else {
 			s.vit = s.grid.seedViterbi(s.cfg, init)
 		}
+		s.grid.putPrior(init)
 	} else {
 		ev := s.eb.step(s.windows, k)
 		if s.cfg.GreedyDecode {

@@ -169,5 +169,6 @@ func (tr *Tracker) Track(samples []reader.Sample) (*Result, error) {
 	} else {
 		path = tr.grid.viterbi(cfg, init, evidence)
 	}
+	tr.grid.putPrior(init)
 	return eb.finish(tr.grid, ws, path, spurious), nil
 }
