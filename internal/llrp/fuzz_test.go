@@ -67,7 +67,8 @@ func FuzzReadMessage(f *testing.F) {
 }
 
 // FuzzDecodeROAccessReport exercises the TLV parameter walk on
-// arbitrary payloads; whatever decodes must re-encode cleanly.
+// arbitrary payloads: it must agree with the slice-building reference,
+// and whatever decodes must re-encode cleanly.
 func FuzzDecodeROAccessReport(f *testing.F) {
 	reports := corpusReports()
 	m, err := EncodeROAccessReport(9, reports)
@@ -81,6 +82,7 @@ func FuzzDecodeROAccessReport(f *testing.F) {
 	f.Add([]byte{0x00, 0xf0, 0x00, 0x04}) // empty TagReportData
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
+		requireSameDecode(t, payload)
 		msg := Message{Type: MsgROAccessReport, ID: 1, Payload: payload}
 		decoded, err := DecodeROAccessReport(msg)
 		if err != nil {

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // Protocol version carried in every header.
@@ -134,28 +135,18 @@ func appendParam(buf []byte, typ uint16, value []byte) []byte {
 	return append(buf, value...)
 }
 
-// param is one decoded TLV parameter.
-type param struct {
-	typ   uint16
-	value []byte
-}
-
-// parseParams decodes a TLV sequence.
-func parseParams(b []byte) ([]param, error) {
-	var out []param
-	for len(b) > 0 {
-		if len(b) < 4 {
-			return nil, ErrTruncated
-		}
-		typ := binary.BigEndian.Uint16(b[0:2]) & 0x3ff
-		l := int(binary.BigEndian.Uint16(b[2:4]))
-		if l < 4 || l > len(b) {
-			return nil, ErrTruncated
-		}
-		out = append(out, param{typ: typ, value: b[4:l]})
-		b = b[l:]
+// nextParam splits the first TLV parameter off b, returning its type,
+// its value and the bytes after it.
+func nextParam(b []byte) (typ uint16, value, rest []byte, err error) {
+	if len(b) < 4 {
+		return 0, nil, nil, ErrTruncated
 	}
-	return out, nil
+	typ = binary.BigEndian.Uint16(b[0:2]) & 0x3ff
+	l := int(binary.BigEndian.Uint16(b[2:4]))
+	if l < 4 || l > len(b) {
+		return 0, nil, nil, ErrTruncated
+	}
+	return typ, b[4:l], b[l:], nil
 }
 
 // TagReport is one tag observation as carried in an RO_ACCESS_REPORT.
@@ -203,54 +194,95 @@ func EncodeROAccessReport(id uint32, reports []TagReport) (Message, error) {
 }
 
 // DecodeROAccessReport extracts the tag reports from an
-// RO_ACCESS_REPORT message.
+// RO_ACCESS_REPORT message. It walks the TLV parameters in place and
+// allocates twice per message, whatever its report count: the result,
+// and one string that every report's EPC is a substring of.
 func DecodeROAccessReport(m Message) ([]TagReport, error) {
 	if m.Type != MsgROAccessReport {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownType, m.Type)
 	}
-	params, err := parseParams(m.Payload)
-	if err != nil {
-		return nil, err
-	}
-	var out []TagReport
-	for _, p := range params {
-		if p.typ != ParamTagReportData {
-			continue
-		}
-		inner, err := parseParams(p.value)
+	// First walk: check every parameter header, count the reports and
+	// size their EPCs.
+	n, epcLen := 0, 0
+	for b := m.Payload; len(b) > 0; {
+		typ, value, rest, err := nextParam(b)
 		if err != nil {
 			return nil, err
 		}
+		b = rest
+		if typ != ParamTagReportData {
+			continue
+		}
+		n++
+		for len(value) > 0 {
+			typ, epc, rest, err := nextParam(value)
+			if err != nil {
+				return nil, err
+			}
+			if typ == ParamEPCData {
+				epcLen += hex.EncodedLen(len(epc))
+			}
+			value = rest
+		}
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]TagReport, 0, n)
+	var epcs strings.Builder
+	epcs.Grow(epcLen)
+	for b := m.Payload; len(b) > 0; {
+		typ, value, rest, _ := nextParam(b)
+		b = rest
+		if typ != ParamTagReportData {
+			continue
+		}
 		var tr TagReport
-		for _, q := range inner {
-			switch q.typ {
+		for len(value) > 0 {
+			typ, v, rest, _ := nextParam(value)
+			value = rest
+			switch typ {
 			case ParamEPCData:
-				tr.EPC = hex.EncodeToString(q.value)
+				start := epcs.Len()
+				appendHex(&epcs, v)
+				// The builder only appends, so the bytes behind an
+				// earlier String stay as they were.
+				tr.EPC = epcs.String()[start:]
 			case ParamAntennaID:
-				if len(q.value) != 2 {
+				if len(v) != 2 {
 					return nil, ErrTruncated
 				}
-				tr.AntennaID = binary.BigEndian.Uint16(q.value)
+				tr.AntennaID = binary.BigEndian.Uint16(v)
 			case ParamPeakRSSI:
-				if len(q.value) != 2 {
+				if len(v) != 2 {
 					return nil, ErrTruncated
 				}
-				tr.RSSICentiDBm = int16(binary.BigEndian.Uint16(q.value))
+				tr.RSSICentiDBm = int16(binary.BigEndian.Uint16(v))
 			case ParamImpinjPhaseAngle:
-				if len(q.value) != 2 {
+				if len(v) != 2 {
 					return nil, ErrTruncated
 				}
-				tr.Phase12 = binary.BigEndian.Uint16(q.value)
+				tr.Phase12 = binary.BigEndian.Uint16(v)
 			case ParamFirstSeenUTC:
-				if len(q.value) != 8 {
+				if len(v) != 8 {
 					return nil, ErrTruncated
 				}
-				tr.TimestampMicros = binary.BigEndian.Uint64(q.value)
+				tr.TimestampMicros = binary.BigEndian.Uint64(v)
 			}
 		}
 		out = append(out, tr)
 	}
 	return out, nil
+}
+
+// appendHex writes src to sb as lowercase hex, through a stack buffer.
+func appendHex(sb *strings.Builder, src []byte) {
+	var buf [64]byte
+	for len(src) > 0 {
+		k := min(len(src), len(buf)/2)
+		sb.Write(buf[:hex.Encode(buf[:], src[:k])])
+		src = src[k:]
+	}
 }
 
 // EventNotification builds the READER_EVENT_NOTIFICATION a reader
