@@ -2,6 +2,7 @@ package session
 
 import (
 	"fmt"
+	"math"
 
 	"polardraw/internal/codec"
 	"polardraw/internal/core"
@@ -33,11 +34,11 @@ type OpenOptions struct {
 	// (core.Config.BeamAdaptive).
 	BeamAdaptive *bool
 	// Window overrides the preprocessing averaging window, seconds
-	// (core.Config.Window). Must be > 0 when set.
+	// (core.Config.Window). Must be > 0 and finite when set.
 	Window *float64
 	// SpuriousPhase overrides the adjacent-window phase-jump rejection
-	// threshold, radians (core.Config.SpuriousPhase). Must be > 0 when
-	// set.
+	// threshold, radians (core.Config.SpuriousPhase). Must be > 0 and
+	// finite when set.
 	SpuriousPhase *float64
 }
 
@@ -55,11 +56,11 @@ func (o OpenOptions) Validate() error {
 	if o.CommitLag != nil && *o.CommitLag < 0 {
 		return fmt.Errorf("session: OpenOptions.CommitLag %d < 0", *o.CommitLag)
 	}
-	if o.Window != nil && *o.Window <= 0 {
-		return fmt.Errorf("session: OpenOptions.Window %g <= 0", *o.Window)
+	if o.Window != nil && !positiveFinite(*o.Window) {
+		return fmt.Errorf("session: OpenOptions.Window %g is not positive and finite", *o.Window)
 	}
-	if o.SpuriousPhase != nil && *o.SpuriousPhase <= 0 {
-		return fmt.Errorf("session: OpenOptions.SpuriousPhase %g <= 0", *o.SpuriousPhase)
+	if o.SpuriousPhase != nil && !positiveFinite(*o.SpuriousPhase) {
+		return fmt.Errorf("session: OpenOptions.SpuriousPhase %g is not positive and finite", *o.SpuriousPhase)
 	}
 	if o.BeamAdaptive != nil && *o.BeamAdaptive &&
 		o.BeamTopK != nil && *o.BeamTopK == 0 {
@@ -67,6 +68,10 @@ func (o OpenOptions) Validate() error {
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is above zero and finite (NaN is
+// neither).
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Apply overlays the set fields onto a base tracker configuration.
 func (o OpenOptions) Apply(base core.Config) core.Config {

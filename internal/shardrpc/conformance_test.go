@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"reflect"
 	"sort"
@@ -145,6 +146,57 @@ func TestVersionHandshake(t *testing.T) {
 	_, err = Dial(ClientConfig{Addr: hangup})
 	if !errors.Is(err, session.ErrBackendUnavailable) || errors.Is(err, ErrVersionMismatch) {
 		t.Fatalf("dial against a server hanging up on the hello = %v, want ErrBackendUnavailable", err)
+	}
+}
+
+// TestHelloDefaultsValidated sends raw hellos whose default
+// OpenOptions the tracker cannot honour (a negative, NaN or infinite
+// Window, a NaN SpuriousPhase) and requires the server to answer each
+// with OpenOptions.Validate's error and drop the connection, as it
+// refuses the same options on opOpen.
+func TestHelloDefaultsValidated(t *testing.T) {
+	_, ants := penStreams(t, 1, 61)
+	_, addr := startServer(t, ServerConfig{Session: sessionCfg(ants, 0.2, 0)})
+	f := func(x float64) *float64 { return &x }
+	for _, tc := range []struct {
+		name string
+		opts session.OpenOptions
+	}{
+		{"Window -0.1", session.OpenOptions{Window: f(-0.1)}},
+		{"Window NaN", session.OpenOptions{Window: f(math.NaN())}},
+		{"Window +Inf", session.OpenOptions{Window: f(math.Inf(1))}},
+		{"SpuriousPhase NaN", session.OpenOptions{SpuriousPhase: f(math.NaN())}},
+	} {
+		want := tc.opts.Validate()
+		if want == nil {
+			t.Fatalf("%s: OpenOptions.Validate accepts it", tc.name)
+		}
+		var e codec.Encoder
+		if encodeHello(&e, protoVersion, "bad-defaults", tc.opts); e.Err() != nil {
+			t.Fatal(e.Err())
+		}
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bw := bufio.NewWriter(raw)
+		if err := writeFrame(bw, opHello, e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		bw.Flush()
+		raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+		op, payload, err := readFrame(raw)
+		if err != nil || op != opResp {
+			t.Fatalf("%s: op=0x%02x err=%v", tc.name, op, err)
+		}
+		d := codec.NewDecoder(payload)
+		if err := checkStatus(&d); err == nil || err.Error() != want.Error() {
+			t.Fatalf("%s: hello answered %v, want %v", tc.name, err, want)
+		}
+		if _, _, err := readFrame(raw); err == nil {
+			t.Fatalf("%s: server kept the refused connection open", tc.name)
+		}
+		raw.Close()
 	}
 }
 

@@ -411,7 +411,8 @@ func (sc *srvConn) respond(e *codec.Encoder) error {
 // frame. It reports whether the connection may proceed; on any
 // mismatch — not a hello, another version, or an unparseable hello —
 // it answers with the explicit version error (so the peer can surface
-// it) and the caller drops the connection.
+// it) and the caller drops the connection. A hello whose default
+// OpenOptions fail Validate is refused the same way, with that error.
 func (sc *srvConn) handshake(op byte, d *codec.Decoder) bool {
 	refuse := func(reason string) bool {
 		_ = sc.respondErr(fmt.Errorf("%w: %s; server speaks v%d", ErrVersionMismatch, reason, protoVersion))
@@ -429,6 +430,13 @@ func (sc *srvConn) handshake(op byte, d *codec.Decoder) bool {
 	}
 	if d.Err() != nil {
 		return refuse("client hello does not parse")
+	}
+	// The defaults apply to every EPC this connection dispatches, so a
+	// hello carrying options the tracker cannot honour is refused like
+	// a bad opOpen, with Validate's error.
+	if err := defaults.Validate(); err != nil {
+		_ = sc.respondErr(err)
+		return false
 	}
 	sc.defaults = defaults
 	if clientID == "" {
