@@ -171,17 +171,20 @@ func TestBudgetRestoreBytes(t *testing.T) {
 }
 
 // TestBudgetStrokeStartBytes pins what the window close that seeds a
-// stroke's decoder allocates. The grid-sized prior vector is borrowed
-// from the grid's pool, so what remains is the prior's support, which
-// seedViterbi keeps as the time-0 beam (active cells, scores and the
-// time-0 record: 20 B per cell).
+// stroke's decoder allocates. The grid-sized prior vector and the
+// prior's support as active cells and scores are borrowed from the
+// grid's pools (the support goes back at the first step), so what
+// remains is the time-0 beam record, 4 B per support cell, kept until
+// the first commit.
 func TestBudgetStrokeStartBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("memory budgets are pinned without the race detector")
 	}
 	samples, ants := synthSamples(t, 'R', 3)
 	tr := New(servingConfig(ants))
-	seed := func() (bytes uint64, support int) {
+	// seed pushes samples into a new stream until its decoder has taken
+	// steps steps, and returns what the push that seeded it allocated.
+	seed := func(steps int) (bytes uint64, support int) {
 		st := tr.Stream()
 		var m0, m1 runtime.MemStats
 		for _, s := range samples {
@@ -190,21 +193,27 @@ func TestBudgetStrokeStartBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&m1)
-			if st.Windows() > 0 {
-				return m1.TotalAlloc - m0.TotalAlloc, len(st.vit.active)
+			if st.vit == nil {
+				continue
+			}
+			if st.vit.steps == 0 && support == 0 {
+				bytes, support = m1.TotalAlloc-m0.TotalAlloc, len(st.vit.active)
+			}
+			if st.vit.steps >= steps {
+				return bytes, support
 			}
 		}
-		t.Fatal("no window closed")
+		t.Fatal("the decoder took too few steps")
 		return 0, 0
 	}
-	// The first stroke start fills the pool.
-	seed()
-	bytes, support := seed()
-	// Measured 205,576 B for 9,429 cells: 20 B per cell, rounded up to
-	// the allocator's size classes (10% here), plus the window. A
-	// stroke start that allocates its own 75 KB prior vector (287,472
-	// B) fails this.
-	budget := uint64(22*support + 4<<10)
+	// A first stroke's start and first step fill both pools.
+	seed(1)
+	bytes, support := seed(0)
+	// Measured 41,736 B for 9,429 cells: 4 B per cell rounded up to the
+	// allocator's size class, plus the window. A stroke start that
+	// allocates its own prior vector and support (287,472 B) fails
+	// this, as does one that allocates either alone.
+	budget := uint64(5*support + 8<<10)
 	t.Logf("stroke start allocates %d B for a %d-cell support (budget %d)", bytes, support, budget)
 	if bytes > budget {
 		t.Fatalf("a stroke start allocates %d B, budget %d B", bytes, budget)

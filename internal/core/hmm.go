@@ -34,8 +34,16 @@ type grid struct {
 	// each decode step borrows (see stepScratch).
 	scratchPool sync.Pool
 	// priorPool holds idle stroke-start prior vectors, *[]float64 (see
-	// initialDistribution).
-	priorPool sync.Pool
+	// initialDistribution), and beamPool the prior's support, *wideBeam:
+	// the active and score buffers seedViterbi fills and the first step
+	// under a count bound gives back.
+	priorPool, beamPool sync.Pool
+}
+
+// wideBeam is a pooled pair of beam buffers wider than any count bound.
+type wideBeam struct {
+	active []int
+	score  []float64
 }
 
 func newGrid(cfg Config) *grid {
@@ -428,6 +436,7 @@ type viterbiState struct {
 
 // seedViterbi seeds the decoder with an initial log-probability vector
 // over the grid (read, not retained) and applies the first beam prune.
+// The beam's buffers come from the grid's beamPool when one is idle.
 func (g *grid) seedViterbi(cfg Config, initLog []float64) *viterbiState {
 	initLog = initLog[:g.size()]
 	v := &viterbiState{g: g, cfg: cfg, commitT: -1}
@@ -443,8 +452,12 @@ func (g *grid) seedViterbi(cfg Config, initLog []float64) *viterbiState {
 			live++
 		}
 	}
-	v.active = make([]int, 0, live)
-	v.score = make([]float64, 0, live)
+	if wb, ok := g.beamPool.Get().(*wideBeam); ok && cap(wb.active) >= live && cap(wb.score) >= live {
+		v.active, v.score = wb.active[:0], wb.score[:0]
+	} else {
+		v.active = make([]int, 0, live)
+		v.score = make([]float64, 0, live)
+	}
 	cells := make([]int32, 0, live)
 	for i, p := range initLog {
 		if p > v.maxPrev-beamWidth {
@@ -691,11 +704,14 @@ func (v *viterbiState) step(ev stepEvidence) {
 	// dense full-grid pass. The scan above was the last read of the old
 	// beam, so its buffers take the new one — unless they are wider
 	// than the count bound (the prior's support after the first step),
-	// which the collector takes instead. Each survivor's score moves
-	// out of cur, leaving the scratch all -Inf again, and the same pass
-	// fills this time's beam record.
+	// which go back to the grid for the next stroke start. Each
+	// survivor's score moves out of cur, leaving the scratch all -Inf
+	// again, and the same pass fills this time's beam record.
 	active, score := v.active[:0], v.score[:0]
 	if c := v.recordBound(); cap(active) < live || c > 0 && cap(active) > c {
+		if c > 0 && cap(active) > c {
+			g.beamPool.Put(&wideBeam{active: active, score: score})
+		}
 		active = make([]int, 0, max(live, c))
 		score = make([]float64, 0, max(live, c))
 	}
