@@ -297,7 +297,7 @@ var boundConfigs = []struct {
 // uniform one (a spurious first window, where every source ties).
 func TestBoundedStepMatchesFullScan(t *testing.T) {
 	const lag = 16
-	for li, letter := range "AMQRSZW" {
+	for li, letter := range "AMQRSZ" {
 		for _, bc := range boundConfigs {
 			name := string(letter) + " " + bc.name
 			g, cfg, init, evs := letterEvidence(t, letter, uint64(li+1), bc.mod)
