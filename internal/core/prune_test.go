@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -265,7 +266,7 @@ func lockstepFullScan(t *testing.T, name string, got, want *viterbiState, evs []
 		if gs != ws || !slices.Equal(gc, wc) {
 			t.Fatalf("%s step %d: committed %d cells from %d, want %d from %d", name, k, len(gc), gs, len(wc), ws)
 		}
-		requireSameDecoder(t, name+" step "+string(rune('0'+k%10)), got, want)
+		requireSameDecoder(t, fmt.Sprintf("%s step %d", name, k), got, want)
 	}
 	if !slices.Equal(got.path(), want.path()) {
 		t.Fatalf("%s: decoded paths differ", name)
