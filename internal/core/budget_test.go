@@ -206,9 +206,15 @@ func TestBudgetStrokeStartBytes(t *testing.T) {
 		t.Fatal("the decoder took too few steps")
 		return 0, 0
 	}
-	// A first stroke's start and first step fill both pools.
-	seed(1)
-	bytes, support := seed(0)
+	// A stroke's start and first step fill both pools. sync.Pool keeps
+	// items per P and drops them across collections, so one stroke
+	// start can still miss them: pin the best of five.
+	bytes, support := uint64(math.MaxUint64), 0
+	for range 5 {
+		seed(1)
+		b, s := seed(0)
+		bytes, support = min(bytes, b), s
+	}
 	// Measured 41,736 B for 9,429 cells: 4 B per cell rounded up to the
 	// allocator's size class, plus the window. A stroke start that
 	// allocates its own prior vector and support (287,472 B) fails
