@@ -52,12 +52,14 @@ type ClientConfig struct {
 	// CallTimeout bounds each synchronous request (default 30s); a
 	// context deadline shorter than CallTimeout wins.
 	CallTimeout time.Duration
-	// BatchSize is the number of dispatched samples buffered before an
-	// automatic flush (default 64). Larger batches amortize framing and
-	// syscalls; smaller ones reduce added latency.
+	// BatchSize is the number of samples single-sample Dispatch buffers
+	// before an automatic flush (default 64). Larger batches amortize
+	// framing and syscalls; smaller ones reduce added latency.
+	// DispatchBatch does not wait for it: each call is written as one
+	// frame before it returns.
 	BatchSize int
-	// FlushInterval bounds how long a buffered sample may wait for its
-	// batch to fill (default 2ms).
+	// FlushInterval bounds how long a sample buffered by Dispatch may
+	// wait for its batch to fill (default 2ms).
 	FlushInterval time.Duration
 	// EventBuffer bounds each Subscribe consumer's channel (default
 	// session.DefaultEventBuffer).
@@ -157,10 +159,11 @@ type seqSample struct {
 // Client speaks the shardrpc protocol to one shard server and
 // implements session.ShardBackend, so a session.Router treats a
 // remote shard process exactly like an in-process one. The connection
-// is long-lived and reused across every call; dispatched samples are
-// buffered and flushed in batches (and always flushed before any
-// synchronous request, preserving per-EPC order between samples and
-// control calls).
+// is long-lived and reused across every call. DispatchBatch writes its
+// samples as one frame before it returns; single-sample Dispatch
+// buffers them into batches. Buffered samples are always flushed before
+// any synchronous request, preserving per-EPC order between samples and
+// control calls.
 //
 // Every dispatched sample carries a sequence number and stays buffered
 // until the server acknowledges it: a transport failure delays
@@ -191,9 +194,13 @@ type Client struct {
 	subFilter session.SubscribeOptions
 	// pending holds buffered samples not yet written; sent holds
 	// written-but-unacknowledged samples. Sequence numbers across
-	// sent ++ pending are contiguous.
+	// sent ++ pending are contiguous. Both keep their backing arrays
+	// across flushes and acks, as do smps and enc, the scratch that
+	// sendSeqLocked frames a batch with.
 	pending []seqSample
 	sent    []seqSample
+	smps    []reader.Sample
+	enc     []byte
 	nextSeq uint64
 	// rejectedSeen mirrors the server's cumulative rejected count, so
 	// each ack adds only the delta to lost.
@@ -430,32 +437,45 @@ func (c *Client) writeFrameLocked(op byte, payload []byte) error {
 // keeps everything buffered: the sequence dedup makes the eventual
 // resend idempotent even after a partial write landed server-side.
 func (c *Client) sendSeqLocked(resend bool) error {
-	batch := c.pending
+	var head []seqSample
 	if resend {
-		batch = append(append([]seqSample(nil), c.sent...), c.pending...)
+		head = c.sent
 	}
-	if len(batch) == 0 {
+	n := len(head) + len(c.pending)
+	if n == 0 {
 		return nil
 	}
-	smps := make([]reader.Sample, len(batch))
-	for i, ss := range batch {
-		smps[i] = ss.smp
+	first := c.pending
+	if len(head) > 0 {
+		first = head
 	}
-	var e codec.Encoder
-	e.U64(batch[0].seq)
-	if encodeSamples(&e, smps); e.Err() != nil {
+	smps := c.smps[:0]
+	for _, ss := range head {
+		smps = append(smps, ss.smp)
+	}
+	for _, ss := range c.pending {
+		smps = append(smps, ss.smp)
+	}
+	e := codec.NewEncoder(c.enc[:0])
+	e.U64(first[0].seq)
+	encodeSamples(&e, smps)
+	// The scratch is kept for the next batch with its samples cleared,
+	// so it pins no EPC strings.
+	clear(smps)
+	c.smps, c.enc = smps[:0], e.Bytes()
+	if e.Err() != nil {
 		// Unencodable samples (oversized EPC) can never cross the wire:
 		// drop them for good.
-		c.lost.Add(uint64(len(batch)))
+		c.lost.Add(uint64(n))
 		c.sent, c.pending = nil, nil
 		return e.Err()
 	}
 	if err := c.writeFrameLocked(opDispatchSeq, e.Bytes()); err != nil {
 		return err
 	}
-	c.tel.batch.Observe(float64(len(batch)))
+	c.tel.batch.Observe(float64(n))
 	c.sent = append(c.sent, c.pending...)
-	c.pending = nil
+	c.pending = c.pending[:0]
 	return nil
 }
 
@@ -470,12 +490,20 @@ func (c *Client) enforceResendCapLocked() {
 	}
 	c.lost.Add(uint64(over))
 	if n := min(over, len(c.sent)); n > 0 {
-		c.sent = append([]seqSample(nil), c.sent[n:]...)
+		c.sent = dropHead(c.sent, n)
 		over -= n
 	}
 	if over > 0 {
-		c.pending = append([]seqSample(nil), c.pending[over:]...)
+		c.pending = dropHead(c.pending, over)
 	}
+}
+
+// dropHead removes the first n samples of s in place, keeping its
+// backing array, and clears the vacated tail so it pins no EPC strings.
+func dropHead(s []seqSample, n int) []seqSample {
+	m := copy(s, s[n:])
+	clear(s[m:])
+	return s[:m]
 }
 
 // flushLocked sends the buffered dispatch batch; c.mu held. The
@@ -492,11 +520,11 @@ func (c *Client) flushLocked() error {
 	return c.sendSeqLocked(false)
 }
 
-// flushLoop bounds the time a buffered sample waits for its batch, and
-// doubles as the reconnection heartbeat: while the connection is down
-// it keeps redialing (backoff-gated) so unacked samples are resent and
-// event subscriptions re-armed without waiting for the next
-// synchronous call.
+// flushLoop bounds the time a sample buffered by Dispatch waits for
+// its batch, and doubles as the reconnection heartbeat: while the
+// connection is down it keeps redialing (backoff-gated) so unacked
+// samples are resent and event subscriptions re-armed without waiting
+// for the next synchronous call.
 func (c *Client) flushLoop() {
 	t := time.NewTicker(c.cfg.FlushInterval)
 	defer t.Stop()
@@ -571,7 +599,7 @@ func (c *Client) readLoop(conn net.Conn, gen int) {
 				i++
 			}
 			if i > 0 {
-				c.sent = append([]seqSample(nil), c.sent[i:]...)
+				c.sent = dropHead(c.sent, i)
 			}
 			// The server's rejected count is cumulative for this client
 			// identity; add only the delta. A count below what we have
@@ -730,7 +758,10 @@ func (c *Client) Dispatch(ctx context.Context, smp reader.Sample) error {
 	return nil
 }
 
-// DispatchBatch buffers a batch in order.
+// DispatchBatch writes the batch, behind any samples Dispatch buffered,
+// as one frame before it returns: a caller that already batches does
+// not wait for BatchSize or FlushInterval. A write error leaves the
+// samples buffered for the post-reconnect resend, as Dispatch does.
 func (c *Client) DispatchBatch(ctx context.Context, batch []reader.Sample) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -744,10 +775,7 @@ func (c *Client) DispatchBatch(ctx context.Context, batch []reader.Sample) error
 		c.nextSeq++
 		c.pending = append(c.pending, seqSample{seq: c.nextSeq, smp: smp})
 	}
-	if len(c.pending) >= c.cfg.BatchSize {
-		return c.flushLocked()
-	}
-	return nil
+	return c.flushLocked()
 }
 
 // AbandonPending discards every buffered and unacknowledged sample

@@ -64,6 +64,7 @@
 package shardrpc
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -141,13 +142,12 @@ var ErrShardClosing = errors.New("shardrpc: shard manager closed")
 // names both versions when they are known.
 var ErrVersionMismatch = errors.New("shardrpc: protocol version mismatch")
 
-// writeFrame writes one frame. The caller is responsible for
-// serializing writers and flushing any buffering.
-func writeFrame(w io.Writer, op byte, payload []byte) error {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
-	hdr[4] = op
-	if _, err := w.Write(hdr[:]); err != nil {
+// writeFrame buffers one frame in w. The caller is responsible for
+// serializing writers and flushing. The header is built in w's spare
+// buffer, so framing allocates nothing.
+func writeFrame(w *bufio.Writer, op byte, payload []byte) error {
+	hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(1+len(payload)))
+	if _, err := w.Write(append(hdr, op)); err != nil {
 		return err
 	}
 	if len(payload) > 0 {

@@ -335,17 +335,46 @@ func (sc *srvConn) subscribe(opts session.SubscribeOptions) {
 	ch, cancel := sc.s.m.SubscribeFiltered(context.Background(), opts)
 	sc.subCancel = cancel
 	sc.subKinds = opts.Kinds
-	go func() {
-		for ev := range ch {
-			var e codec.Encoder
-			if encodeEvent(&e, ev); e.Err() != nil {
-				continue
-			}
-			if sc.write(opEvent, e.Bytes()) != nil {
-				return // conn broken; read loop notices too
-			}
+	go sc.pump(ch)
+}
+
+// pump frames the subscription's events onto the wire until ch closes
+// or a write fails. Each burst is the event received plus every event
+// already queued behind it, written under one wmu hold and flushed
+// once, so a backlog costs one socket write instead of one per event.
+// The burst is bounded by the queue length seen when it starts, so a
+// steady event stream still yields wmu to acks and responses between
+// bursts; the pump is ch's only receiver, so the burst's receives
+// never block. One encoder buffer serves every event.
+func (sc *srvConn) pump(ch <-chan session.Event) {
+	var buf []byte
+	frame := func(ev session.Event) error {
+		e := codec.NewEncoder(buf[:0])
+		encodeEvent(&e, ev)
+		buf = e.Bytes()
+		if e.Err() != nil {
+			return nil // unencodable event: skip it
 		}
-	}()
+		return sc.frameLocked(opEvent, buf)
+	}
+	for ev := range ch {
+		sc.wmu.Lock()
+		err := frame(ev)
+		for n := len(ch); n > 0 && err == nil; n-- {
+			ev, ok := <-ch
+			if !ok {
+				break
+			}
+			err = frame(ev)
+		}
+		if err == nil {
+			err = sc.bw.Flush()
+		}
+		sc.wmu.Unlock()
+		if err != nil {
+			return // conn broken; read loop notices too
+		}
+	}
 }
 
 // pushMembership frames one membership event onto the wire if the
@@ -378,16 +407,22 @@ func (sc *srvConn) unsubscribe() {
 	}
 }
 
-// write frames one message under the connection's write lock.
+// write frames one message under the connection's write lock and
+// flushes it.
 func (sc *srvConn) write(op byte, payload []byte) error {
-	// 4-byte length prefix + opcode + payload = bytes on the wire.
-	sc.s.tel.frameTx.Observe(float64(5 + len(payload)))
 	sc.wmu.Lock()
 	defer sc.wmu.Unlock()
-	if err := writeFrame(sc.bw, op, payload); err != nil {
+	if err := sc.frameLocked(op, payload); err != nil {
 		return err
 	}
 	return sc.bw.Flush()
+}
+
+// frameLocked buffers one frame without flushing; sc.wmu held.
+func (sc *srvConn) frameLocked(op byte, payload []byte) error {
+	// 4-byte length prefix + opcode + payload = bytes on the wire.
+	sc.s.tel.frameTx.Observe(float64(5 + len(payload)))
+	return writeFrame(sc.bw, op, payload)
 }
 
 // respondErr sends a statusErr response.
